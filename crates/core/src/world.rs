@@ -102,7 +102,9 @@ pub struct World {
     ns: NsCache,
     dns: DnsScheduler,
     // Dense struct-of-arrays session state — see `clients.rs`. At 1M
-    // clients the layout, not the event queue, is the scaling wall.
+    // clients these columns hold 31 MiB, less than the event queue's
+    // ~36 MiB, and the queue's memory traffic is much of the slowdown
+    // at that scale (EXPERIMENTS.md X19).
     clients: ClientColumns,
     rng_think: StreamRng,
     rng_pages: StreamRng,

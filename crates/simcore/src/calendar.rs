@@ -22,8 +22,16 @@
 //!   its bucket — so there is no accumulated floating-point drift that
 //!   could disagree with the bucket assignment and deliver days out of
 //!   order.
+//!
+//! The layout is Brown's original one: each bucket is a singly-linked list
+//! threaded through one shared node arena, so the whole calendar is two
+//! flat allocations (one `u32` head per bucket plus the arena) however many
+//! buckets it has. Popped nodes go onto a free list and are reused by the
+//! next push, so a queue whose pending set has stopped growing never
+//! touches the allocator, and a rebuild re-threads the live nodes in place.
 
-use crate::event::Entry;
+use std::collections::BinaryHeap;
+
 use crate::time::SimTime;
 
 /// Smallest bucket array; also the size an empty queue starts with.
@@ -33,7 +41,7 @@ const MAX_BUCKETS: usize = 1 << 20;
 /// Bucket width as a multiple of the mean inter-event gap at the head of
 /// the pending set. 2.0 targets ~2 events per day: wide enough that pops
 /// rarely cross empty days, narrow enough that in-bucket insertion stays a
-/// couple of element moves.
+/// couple of link hops.
 const WIDTH_GAP_FACTOR: f64 = 2.0;
 /// How many head events the width recalibration samples.
 const WIDTH_SAMPLE: usize = 64;
@@ -41,6 +49,25 @@ const WIDTH_SAMPLE: usize = 64;
 /// where distinct times would collapse into one day (still ordered, but a
 /// single overfull bucket).
 const MAX_DAY: f64 = 1e15;
+/// The null node index: ends a bucket list or the free list, and marks an
+/// empty bucket.
+const NIL: u32 = u32::MAX;
+
+/// One arena slot: a pending event linked into its bucket, or a free slot
+/// linked into the free list. Aligned to 32 bytes so a slot never
+/// straddles a cache line when the fields fit in 32 (they do for the
+/// simulator's event type): a bucket walk costs one line per hop.
+#[repr(align(32))]
+struct Node<E> {
+    time: SimTime,
+    /// Push sequence number; breaks `time` ties FIFO.
+    seq: u64,
+    /// The next node of the same bucket (ascending by `(time, seq)`), or of
+    /// the free list; [`NIL`] ends either list.
+    next: u32,
+    /// `None` exactly while the slot is on the free list.
+    event: Option<E>,
+}
 
 /// A time-ordered event queue over a circular calendar of bucket days.
 ///
@@ -48,11 +75,16 @@ const MAX_DAY: f64 = 1e15;
 /// deterministic FIFO tie-breaking; see [`EventQueue`](crate::EventQueue)
 /// for the façade most code uses.
 pub struct CalendarQueue<E> {
-    /// Bucket `i` holds every pending event whose day `d = ⌊time/width⌋`
-    /// satisfies `d mod nbuckets == i`, sorted **descending** by
-    /// `(time, seq)` so the earliest entry pops off the tail in O(1).
-    /// `nbuckets` is always a power of two.
-    buckets: Vec<Vec<Entry<E>>>,
+    /// Bucket `i` is the list of every pending event whose day
+    /// `d = ⌊time/width⌋` satisfies `d mod nbuckets == i`, sorted
+    /// **ascending** by `(time, seq)` so its head is the bucket minimum;
+    /// `heads[i]` is that head's arena index, or [`NIL`] for an empty
+    /// bucket. `nbuckets` is always a power of two.
+    heads: Vec<u32>,
+    /// Every node, pending or free. Indices are stable until a rebuild.
+    nodes: Vec<Node<E>>,
+    /// Head of the free list of recycled nodes, or [`NIL`].
+    free: u32,
     /// Width of one bucket day, in seconds. Always positive.
     width: f64,
     /// `1.0 / width`, cached: `day_of` runs on every push and pop, and a
@@ -71,7 +103,9 @@ impl<E> CalendarQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: std::iter::repeat_with(Vec::new).take(MIN_BUCKETS).collect(),
+            heads: vec![NIL; MIN_BUCKETS],
+            nodes: Vec::new(),
+            free: NIL,
             width: 1.0,
             inv_width: 1.0,
             cur_day: 0,
@@ -91,35 +125,59 @@ impl<E> CalendarQueue<E> {
 
     #[inline]
     fn bucket_of(&self, day: u64) -> usize {
-        (day as usize) & (self.buckets.len() - 1)
+        (day as usize) & (self.heads.len() - 1)
+    }
+
+    /// Links node `n` into bucket `idx` at its `(time, seq)` position.
+    /// Buckets hold ~2 entries, so a walk from the head is short.
+    #[inline]
+    fn link(&mut self, idx: usize, n: u32) {
+        let key = (self.nodes[n as usize].time, self.nodes[n as usize].seq);
+        let mut prev = NIL;
+        let mut cur = self.heads[idx];
+        while cur != NIL {
+            let x = &self.nodes[cur as usize];
+            if (x.time, x.seq) > key {
+                break;
+            }
+            prev = cur;
+            cur = x.next;
+        }
+        self.nodes[n as usize].next = cur;
+        if prev == NIL {
+            self.heads[idx] = n;
+        } else {
+            self.nodes[prev as usize].next = n;
+        }
     }
 
     /// Schedules `event` to fire at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let node = Node { time, seq, next: NIL, event: Some(event) };
+        let n = if self.free == NIL {
+            let n = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&n| n != NIL)
+                .expect("calendar queue holds at most u32::MAX - 1 events");
+            self.nodes.push(node);
+            n
+        } else {
+            let n = self.free;
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            n
+        };
         let day = self.day_of(time);
-        let idx = self.bucket_of(day);
-        let bucket = &mut self.buckets[idx];
-        // Descending order: entries *greater* than the new one keep their
-        // place at the front. Buckets hold ~2 entries, so a linear scan
-        // from the tail beats a binary search.
-        let mut pos = bucket.len();
-        while pos > 0 {
-            let x = &bucket[pos - 1];
-            if (x.time, x.seq) > (time, seq) {
-                break;
-            }
-            pos -= 1;
-        }
-        bucket.insert(pos, Entry { time, seq, event });
+        self.link(self.bucket_of(day), n);
         self.len += 1;
         if self.len == 1 || day < self.cur_day {
             // First event after empty/clear, or a push into an
             // already-drained day: re-anchor the drain cursor on it.
             self.cur_day = day;
         }
-        if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
+        if self.len > 2 * self.heads.len() && self.heads.len() < MAX_BUCKETS {
             self.rebuild();
         }
     }
@@ -129,44 +187,51 @@ impl<E> CalendarQueue<E> {
         if self.len == 0 {
             return None;
         }
-        let mask = self.buckets.len() - 1;
+        let mask = self.heads.len() - 1;
         let mut idx = (self.cur_day as usize) & mask;
-        for _ in 0..self.buckets.len() {
-            if let Some(tail) = self.buckets[idx].last() {
-                // The tail is this bucket's (time, seq) minimum; it is due
-                // if it belongs to the day the cursor is on (a later day in
-                // this bucket means the event is >= a full year away).
-                if self.day_of(tail.time) <= self.cur_day {
-                    return Some(self.take_tail(idx));
-                }
+        for _ in 0..self.heads.len() {
+            let head = self.heads[idx];
+            // The head is this bucket's (time, seq) minimum; it is due if
+            // it belongs to the day the cursor is on (a later day in this
+            // bucket means the event is >= a full year away).
+            if head != NIL && self.day_of(self.nodes[head as usize].time) <= self.cur_day {
+                return Some(self.take_head(idx));
             }
             self.cur_day = self.cur_day.saturating_add(1);
             idx = (idx + 1) & mask;
         }
         // A full lap found nothing due: every pending event is at least a
         // year ahead. Jump the cursor straight to the global minimum (each
-        // bucket's tail is its minimum, so the min over tails is global).
-        let min_idx = (0..self.buckets.len())
-            .filter(|&i| !self.buckets[i].is_empty())
-            .min_by(|&a, &b| {
-                let ea = self.buckets[a].last().expect("non-empty");
-                let eb = self.buckets[b].last().expect("non-empty");
-                (ea.time, ea.seq).cmp(&(eb.time, eb.seq))
-            })
-            .expect("len > 0 but no bucket has entries");
-        let min_time = self.buckets[min_idx].last().expect("non-empty").time;
-        self.cur_day = self.day_of(min_time);
-        Some(self.take_tail(min_idx))
+        // bucket's head is its minimum, so the min over heads is global).
+        let min_idx = self.min_head_bucket().expect("len > 0 but no bucket has entries");
+        self.cur_day = self.day_of(self.nodes[self.heads[min_idx] as usize].time);
+        Some(self.take_head(min_idx))
     }
 
-    /// Pops the tail of bucket `idx`, applying the shrink policy.
-    fn take_tail(&mut self, idx: usize) -> (SimTime, E) {
-        let e = self.buckets[idx].pop().expect("bucket checked non-empty");
+    /// The bucket whose head is the global `(time, seq)` minimum.
+    fn min_head_bucket(&self) -> Option<usize> {
+        let key = |i: usize| {
+            let n = &self.nodes[self.heads[i] as usize];
+            (n.time, n.seq)
+        };
+        (0..self.heads.len()).filter(|&i| self.heads[i] != NIL).min_by_key(|&i| key(i))
+    }
+
+    /// Unlinks the head of bucket `idx` onto the free list, applying the
+    /// shrink policy.
+    fn take_head(&mut self, idx: usize) -> (SimTime, E) {
+        let n = self.heads[idx];
+        let node = &mut self.nodes[n as usize];
+        self.heads[idx] = node.next;
+        node.next = self.free;
+        self.free = n;
+        let time = node.time;
+        let event = node.event.take().expect("a linked node holds an event");
         self.len -= 1;
-        if 4 * self.len < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
+        if 4 * self.len < self.heads.len() && self.heads.len() > MIN_BUCKETS {
             self.rebuild();
         }
-        (e.time, e.event)
+        (time, event)
     }
 
     /// The firing time of the earliest pending event, if any.
@@ -176,19 +241,17 @@ impl<E> CalendarQueue<E> {
             return None;
         }
         let mut day = self.cur_day;
-        for _ in 0..self.buckets.len() {
-            if let Some(tail) = self.buckets[self.bucket_of(day)].last() {
-                if self.day_of(tail.time) <= day {
-                    return Some(tail.time);
+        for _ in 0..self.heads.len() {
+            let head = self.heads[self.bucket_of(day)];
+            if head != NIL {
+                let t = self.nodes[head as usize].time;
+                if self.day_of(t) <= day {
+                    return Some(t);
                 }
             }
             day = day.saturating_add(1);
         }
-        self.buckets
-            .iter()
-            .filter_map(|b| b.last())
-            .min_by(|a, b| (a.time, a.seq).cmp(&(b.time, b.seq)))
-            .map(|e| e.time)
+        self.min_head_bucket().map(|i| self.nodes[self.heads[i] as usize].time)
     }
 
     /// Number of pending events.
@@ -206,9 +269,9 @@ impl<E> CalendarQueue<E> {
     /// Discards all pending events (the sequence counter keeps advancing,
     /// so FIFO guarantees survive a clear).
     pub fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
+        self.heads.fill(NIL);
+        self.nodes.clear();
+        self.free = NIL;
         self.cur_day = 0;
         self.len = 0;
     }
@@ -216,62 +279,75 @@ impl<E> CalendarQueue<E> {
     /// Number of bucket days (for tests and diagnostics).
     #[must_use]
     pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
+        self.heads.len()
     }
 
     /// Rebuilds the whole calendar: bucket count from the pending-set size,
     /// bucket width from the observed head gaps, cursor re-anchored on the
-    /// earliest pending event.
+    /// earliest pending event. The live nodes stay where they are in the
+    /// arena; only their links are rewritten.
     fn rebuild(&mut self) {
-        let mut entries: Vec<Entry<E>> = Vec::with_capacity(self.len);
-        for bucket in &mut self.buckets {
-            entries.append(bucket);
-        }
-        debug_assert_eq!(entries.len(), self.len);
-        if entries.is_empty() {
-            self.buckets.resize_with(MIN_BUCKETS, Vec::new);
+        if self.len == 0 {
+            self.heads.clear();
+            self.heads.resize(MIN_BUCKETS, NIL);
+            self.nodes.clear();
+            self.free = NIL;
             self.width = 1.0;
             self.inv_width = 1.0;
             self.cur_day = 0;
             return;
         }
-        // (time, seq) keys are unique, so the unstable sort is fully
-        // deterministic.
-        entries.sort_unstable_by_key(|a| (a.time, a.seq));
+        // One pass over the arena finds what the recalibration needs: the
+        // earliest and latest times and the k-th earliest, k = min(len,
+        // WIDTH_SAMPLE), held as the top of a max-heap of the k smallest.
+        let k = self.len.min(WIDTH_SAMPLE);
+        let mut smallest: BinaryHeap<SimTime> = BinaryHeap::with_capacity(k);
+        let mut span: Option<(SimTime, SimTime)> = None;
+        for node in self.nodes.iter().filter(|n| n.event.is_some()) {
+            let t = node.time;
+            span = Some(span.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))));
+            if smallest.len() < k {
+                smallest.push(t);
+            } else if smallest.peek().is_some_and(|&top| t < top) {
+                smallest.pop();
+                smallest.push(t);
+            }
+        }
+        let (t_first, t_last) = span.expect("len > 0");
+        let t_k = *smallest.peek().expect("len > 0");
 
-        let nbuckets = entries.len().next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-        self.buckets.resize_with(nbuckets, Vec::new);
-        self.width = Self::estimate_width(&entries);
-        let t_last = entries[entries.len() - 1].time.as_secs();
+        let nbuckets = self.len.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
+        self.heads.clear();
+        self.heads.resize(nbuckets, NIL);
+        self.width = Self::estimate_width(self.len, k, t_first, t_k, t_last);
+        let t_last = t_last.as_secs();
         if !(t_last / self.width).is_finite() || t_last / self.width > MAX_DAY {
             // The estimated width is too fine for the absolute times in
             // play; widen so day indices stay well inside u64.
             self.width = t_last / MAX_DAY;
         }
         self.inv_width = 1.0 / self.width;
-        self.cur_day = self.day_of(entries[0].time);
-        // Distribute in reverse so each bucket fills in descending order
-        // with O(1) appends.
-        for e in entries.into_iter().rev() {
-            let idx = self.bucket_of(self.day_of(e.time));
-            self.buckets[idx].push(e);
+        self.cur_day = self.day_of(t_first);
+        // Re-thread newest slot first: slots fill in push order while the
+        // queue grows, so each node usually lands at its bucket's head.
+        // Free slots keep their links, so the free list survives as is.
+        for n in (0..self.nodes.len()).rev() {
+            if self.nodes[n].event.is_some() {
+                let idx = self.bucket_of(self.day_of(self.nodes[n].time));
+                self.link(idx, n as u32);
+            }
         }
     }
 
-    /// Bucket width from the mean gap over the first [`WIDTH_SAMPLE`]
-    /// pending events (ties at the head fall back to the full span, then
-    /// to 1 s). `entries` must be sorted ascending and non-empty.
-    fn estimate_width(entries: &[Entry<E>]) -> f64 {
-        let n = entries.len();
-        let t0 = entries[0].time.as_secs();
-        let k = n.min(WIDTH_SAMPLE);
-        let mut width = if k >= 2 {
-            WIDTH_GAP_FACTOR * (entries[k - 1].time.as_secs() - t0) / (k - 1) as f64
-        } else {
-            0.0
-        };
+    /// Bucket width from the mean gap over the first `k` of the `n`
+    /// pending events, `t_first` to `t_k` (ties at the head fall back to
+    /// the full span to `t_last`, then to 1 s).
+    fn estimate_width(n: usize, k: usize, t_first: SimTime, t_k: SimTime, t_last: SimTime) -> f64 {
+        let t0 = t_first.as_secs();
+        let mut width =
+            if k >= 2 { WIDTH_GAP_FACTOR * (t_k.as_secs() - t0) / (k - 1) as f64 } else { 0.0 };
         if width <= 0.0 {
-            let span = entries[n - 1].time.as_secs() - t0;
+            let span = t_last.as_secs() - t0;
             width = if span > 0.0 { WIDTH_GAP_FACTOR * span / n as f64 } else { 1.0 };
         }
         width
@@ -288,7 +364,7 @@ impl<E> std::fmt::Debug for CalendarQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CalendarQueue")
             .field("len", &self.len)
-            .field("buckets", &self.buckets.len())
+            .field("buckets", &self.heads.len())
             .field("width", &self.width)
             .field("cur_day", &self.cur_day)
             .field("next_seq", &self.next_seq)

@@ -17,7 +17,8 @@ enum QueueOp {
 
 fn queue_ops(len: usize) -> impl Strategy<Value = Vec<QueueOp>> {
     // Mostly pushes with a wide mix of deltas: ties (0.0), short hops, and
-    // far-future jumps that land in the overflow list; one pop in three.
+    // far-future jumps that land a calendar year or more ahead of the
+    // cursor; one pop in three.
     prop::collection::vec(
         (0u8..6, 0.0f64..50.0).prop_map(|(kind, x)| match kind {
             0 => QueueOp::Push(0.0),
@@ -33,8 +34,9 @@ fn queue_ops(len: usize) -> impl Strategy<Value = Vec<QueueOp>> {
 proptest! {
     /// Random push/pop interleavings against a sorted-vec oracle: both
     /// queue kinds must agree with the oracle on every pop, for any mix of
-    /// tie, near, and far-future times (the latter exercising the calendar
-    /// overflow list and bucket-width recalibration).
+    /// tie, near, and far-future times (the latter exercising the calendar's
+    /// wrap-around year, its jump to the global minimum when a full lap
+    /// finds nothing due, and bucket-width recalibration).
     #[test]
     fn queues_match_sorted_vec_oracle(ops in queue_ops(300)) {
         let mut cal = CalendarQueue::new();

@@ -5,9 +5,10 @@
 //! must not allocate per event. A fresh `Vec` per decision is invisible in
 //! a unit test and ruinous at scale, so these tests pin the property with a
 //! counting global allocator: one measures the scheduler decision path in
-//! isolation (exactly zero allocations once warm), the other runs whole
-//! simulations of different lengths and checks that allocation count grows
-//! sublinearly in the number of events processed.
+//! isolation (exactly zero allocations once warm), one does the same for
+//! the future-event list on its own, and one runs whole simulations of
+//! different lengths and checks that allocation count grows sublinearly in
+//! the number of events processed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,7 +19,7 @@ use geodns_core::{
     ObsCounters, PolicyKind, Probe, SimConfig, TtlKind,
 };
 use geodns_server::HeterogeneityLevel;
-use geodns_simcore::{RngStreams, SimTime};
+use geodns_simcore::{EventQueue, QueueKind, RngStreams, SimTime};
 
 /// Counts every `alloc`/`realloc` call (deallocations are free to ignore:
 /// the property under test is "no new heap traffic per event").
@@ -165,6 +166,38 @@ fn probed_dns_decision_path_is_allocation_free() {
         assert_eq!(grew, 0, "{name}: {grew} allocations across 10k warm probed DNS decisions");
     }
     assert!(counters.snapshot(0, 0).dns_decisions >= 10_000, "the counters really did record");
+}
+
+#[test]
+fn warm_calendar_queue_holds_without_allocating() {
+    let _guard = SERIAL.lock().unwrap();
+
+    // The hold model (pop the minimum, push it back `gap` later) at a
+    // 100k-event pending set: a popped node goes to the free list and the
+    // next push reuses it, and the bucket count only changes with the
+    // pending-set size, so once warm the queue never allocates.
+    const PENDING: u32 = 100_000;
+    let mut q = EventQueue::with_kind(QueueKind::Calendar);
+    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut gap = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64 * 16.0
+    };
+    for i in 0..PENDING {
+        q.push(SimTime::from_secs(gap()), i);
+    }
+    let mut hold = |steps: u32| {
+        for _ in 0..steps {
+            let (t, payload) = q.pop().expect("the hold model never empties");
+            q.push(t + gap(), payload);
+        }
+    };
+    hold(PENDING);
+
+    let grew = allocations_during(|| hold(100_000));
+    assert_eq!(grew, 0, "{grew} allocations across 100k warm calendar hold steps");
 }
 
 #[test]
