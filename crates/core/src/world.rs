@@ -103,8 +103,10 @@ pub struct World {
     dns: DnsScheduler,
     // Dense struct-of-arrays session state — see `clients.rs`. At 1M
     // clients these columns hold 31 MiB, less than the event queue's
-    // ~36 MiB, and the queue's memory traffic is much of the slowdown
-    // at that scale (EXPERIMENTS.md X19).
+    // ~36 MiB. Most of the queue's memory traffic at that scale is its
+    // pops: a far push (a client's next page or session) writes its
+    // node and one bucket head, and a bucket's nodes are read once, when
+    // the drain cursor sorts it (DESIGN §4, EXPERIMENTS.md X19).
     clients: ClientColumns,
     rng_think: StreamRng,
     rng_pages: StreamRng,

@@ -15,8 +15,9 @@
 //!
 //! Two choices make the structure exactly interchangeable with the heap:
 //!
-//! * every bucket is kept sorted by the `(time, seq)` lexicographic key the
-//!   heap uses, so ties break FIFO no matter how entries are distributed;
+//! * a bucket is ordered by the `(time, seq)` lexicographic key the heap
+//!   uses before the cursor takes anything from it, so ties break FIFO no
+//!   matter how entries are distributed;
 //! * the current day is an integer counter and an event's day is always
 //!   computed as `(time / width) as u64` — the same expression used to pick
 //!   its bucket — so there is no accumulated floating-point drift that
@@ -29,6 +30,13 @@
 //! buckets it has. Popped nodes go onto a free list and are reused by the
 //! next push, so a queue whose pending set has stopped growing never
 //! touches the allocator, and a rebuild re-threads the live nodes in place.
+//!
+//! Unlike Brown's, only one bucket is kept sorted: the one the drain cursor
+//! last examined. Every other bucket is an unordered stack in push order,
+//! so a push a day or more ahead of the cursor (a client's think time, in
+//! the simulator) writes its node and one bucket head and reads no other
+//! node. The cursor sorts a bucket the first time it examines it, when its
+//! nodes are about to be popped anyway.
 
 use std::collections::BinaryHeap;
 
@@ -40,8 +48,8 @@ const MIN_BUCKETS: usize = 16;
 const MAX_BUCKETS: usize = 1 << 20;
 /// Bucket width as a multiple of the mean inter-event gap at the head of
 /// the pending set. 2.0 targets ~2 events per day: wide enough that pops
-/// rarely cross empty days, narrow enough that in-bucket insertion stays a
-/// couple of link hops.
+/// rarely cross empty days, narrow enough that sorting a bucket and linking
+/// into the sorted one stay a few hops.
 const WIDTH_GAP_FACTOR: f64 = 2.0;
 /// How many head events the width recalibration samples.
 const WIDTH_SAMPLE: usize = 64;
@@ -62,8 +70,8 @@ struct Node<E> {
     time: SimTime,
     /// Push sequence number; breaks `time` ties FIFO.
     seq: u64,
-    /// The next node of the same bucket (ascending by `(time, seq)`), or of
-    /// the free list; [`NIL`] ends either list.
+    /// The next node of the same bucket or of the free list; [`NIL`] ends
+    /// either list.
     next: u32,
     /// `None` exactly while the slot is on the free list.
     event: Option<E>,
@@ -76,11 +84,14 @@ struct Node<E> {
 /// for the façade most code uses.
 pub struct CalendarQueue<E> {
     /// Bucket `i` is the list of every pending event whose day
-    /// `d = ⌊time/width⌋` satisfies `d mod nbuckets == i`, sorted
-    /// **ascending** by `(time, seq)` so its head is the bucket minimum;
-    /// `heads[i]` is that head's arena index, or [`NIL`] for an empty
-    /// bucket. `nbuckets` is always a power of two.
+    /// `d = ⌊time/width⌋` satisfies `d mod nbuckets == i`; `heads[i]` is
+    /// its first node's arena index, or [`NIL`] for an empty bucket.
+    /// `nbuckets` is always a power of two.
     heads: Vec<u32>,
+    /// The one bucket sorted **ascending** by `(time, seq)`, so that its
+    /// head is its minimum, or [`NIL`] after a rebuild or clear. Every
+    /// other bucket lists its nodes newest push first.
+    sorted: u32,
     /// Every node, pending or free. Indices are stable until a rebuild.
     nodes: Vec<Node<E>>,
     /// Head of the free list of recycled nodes, or [`NIL`].
@@ -104,6 +115,7 @@ impl<E> CalendarQueue<E> {
     pub fn new() -> Self {
         CalendarQueue {
             heads: vec![NIL; MIN_BUCKETS],
+            sorted: NIL,
             nodes: Vec::new(),
             free: NIL,
             width: 1.0,
@@ -128,8 +140,8 @@ impl<E> CalendarQueue<E> {
         (day as usize) & (self.heads.len() - 1)
     }
 
-    /// Links node `n` into bucket `idx` at its `(time, seq)` position.
-    /// Buckets hold ~2 entries, so a walk from the head is short.
+    /// Links node `n` into the sorted bucket `idx` at its `(time, seq)`
+    /// position, walking from the head.
     #[inline]
     fn link(&mut self, idx: usize, n: u32) {
         let key = (self.nodes[n as usize].time, self.nodes[n as usize].seq);
@@ -170,7 +182,13 @@ impl<E> CalendarQueue<E> {
             n
         };
         let day = self.day_of(time);
-        self.link(self.bucket_of(day), n);
+        let idx = self.bucket_of(day);
+        if idx as u32 == self.sorted {
+            self.link(idx, n);
+        } else {
+            self.nodes[n as usize].next = self.heads[idx];
+            self.heads[idx] = n;
+        }
         self.len += 1;
         if self.len == 1 || day < self.cur_day {
             // First event after empty/clear, or a push into an
@@ -190,35 +208,96 @@ impl<E> CalendarQueue<E> {
         let mask = self.heads.len() - 1;
         let mut idx = (self.cur_day as usize) & mask;
         for _ in 0..self.heads.len() {
-            let head = self.heads[idx];
-            // The head is this bucket's (time, seq) minimum; it is due if
-            // it belongs to the day the cursor is on (a later day in this
-            // bucket means the event is >= a full year away).
-            if head != NIL && self.day_of(self.nodes[head as usize].time) <= self.cur_day {
-                return Some(self.take_head(idx));
+            let mut head = self.heads[idx];
+            if head != NIL {
+                if idx as u32 != self.sorted {
+                    self.sort_bucket(idx);
+                    head = self.heads[idx];
+                }
+                // The head is this bucket's (time, seq) minimum; it is due
+                // if it belongs to the day the cursor is on (a later day in
+                // this bucket means the event is >= a full year away).
+                if self.day_of(self.nodes[head as usize].time) <= self.cur_day {
+                    return Some(self.take_head(idx));
+                }
             }
             self.cur_day = self.cur_day.saturating_add(1);
             idx = (idx + 1) & mask;
         }
         // A full lap found nothing due: every pending event is at least a
-        // year ahead. Jump the cursor straight to the global minimum (each
-        // bucket's head is its minimum, so the min over heads is global).
-        let min_idx = self.min_head_bucket().expect("len > 0 but no bucket has entries");
-        self.cur_day = self.day_of(self.nodes[self.heads[min_idx] as usize].time);
-        Some(self.take_head(min_idx))
+        // year ahead. Jump the cursor straight to the global minimum.
+        let min = self.min_node().expect("len > 0 but no bucket has entries");
+        self.cur_day = self.day_of(self.nodes[min as usize].time);
+        let idx = self.bucket_of(self.cur_day);
+        if idx as u32 != self.sorted {
+            self.sort_bucket(idx);
+        }
+        Some(self.take_head(idx))
     }
 
-    /// The bucket whose head is the global `(time, seq)` minimum.
-    fn min_head_bucket(&self) -> Option<usize> {
-        let key = |i: usize| {
-            let n = &self.nodes[self.heads[i] as usize];
-            (n.time, n.seq)
-        };
-        (0..self.heads.len()).filter(|&i| self.heads[i] != NIL).min_by_key(|&i| key(i))
+    /// Sorts bucket `idx` ascending by `(time, seq)` and makes it the
+    /// sorted bucket. An insertion sort that takes the nodes head first:
+    /// an unsorted bucket lists them newest push first, so same-instant
+    /// ties arrive in descending `seq` and each lands at the front, and
+    /// inserting after the previous node when its key is smaller keeps an
+    /// already ascending run linear too.
+    #[cold]
+    #[inline(never)]
+    fn sort_bucket(&mut self, idx: usize) {
+        self.sorted = idx as u32;
+        let mut rest = self.heads[idx];
+        let mut head = NIL;
+        let mut last = NIL;
+        while rest != NIL {
+            let n = rest;
+            let node = &self.nodes[n as usize];
+            rest = node.next;
+            let key = (node.time, node.seq);
+            let (mut prev, mut cur) = if last != NIL && self.key(last) < key {
+                (last, self.nodes[last as usize].next)
+            } else {
+                (NIL, head)
+            };
+            while cur != NIL && self.key(cur) < key {
+                prev = cur;
+                cur = self.nodes[cur as usize].next;
+            }
+            self.nodes[n as usize].next = cur;
+            if prev == NIL {
+                head = n;
+            } else {
+                self.nodes[prev as usize].next = n;
+            }
+            last = n;
+        }
+        self.heads[idx] = head;
     }
 
-    /// Unlinks the head of bucket `idx` onto the free list, applying the
-    /// shrink policy.
+    /// Node `n`'s place in the delivery order.
+    #[inline]
+    fn key(&self, n: u32) -> (SimTime, u64) {
+        let node = &self.nodes[n as usize];
+        (node.time, node.seq)
+    }
+
+    /// The pending node with the global `(time, seq)` minimum, found by
+    /// walking every bucket list.
+    fn min_node(&self) -> Option<u32> {
+        let mut best = None;
+        for &head in &self.heads {
+            let mut cur = head;
+            while cur != NIL {
+                if best.is_none_or(|b| self.key(cur) < self.key(b)) {
+                    best = Some(cur);
+                }
+                cur = self.nodes[cur as usize].next;
+            }
+        }
+        best
+    }
+
+    /// Unlinks the head of the sorted bucket `idx` onto the free list,
+    /// applying the shrink policy.
     fn take_head(&mut self, idx: usize) -> (SimTime, E) {
         let n = self.heads[idx];
         let node = &mut self.nodes[n as usize];
@@ -242,16 +321,32 @@ impl<E> CalendarQueue<E> {
         }
         let mut day = self.cur_day;
         for _ in 0..self.heads.len() {
-            let head = self.heads[self.bucket_of(day)];
-            if head != NIL {
-                let t = self.nodes[head as usize].time;
+            let idx = self.bucket_of(day);
+            if let Some(t) = self.bucket_min_time(idx) {
                 if self.day_of(t) <= day {
                     return Some(t);
                 }
             }
             day = day.saturating_add(1);
         }
-        self.min_head_bucket().map(|i| self.nodes[self.heads[i] as usize].time)
+        self.min_node().map(|n| self.nodes[n as usize].time)
+    }
+
+    /// The earliest time in bucket `idx`: the head of the sorted bucket,
+    /// or a walk over any other.
+    fn bucket_min_time(&self, idx: usize) -> Option<SimTime> {
+        let head = self.heads[idx];
+        if idx as u32 == self.sorted {
+            return (head != NIL).then(|| self.nodes[head as usize].time);
+        }
+        let mut min = None;
+        let mut cur = head;
+        while cur != NIL {
+            let node = &self.nodes[cur as usize];
+            min = Some(min.map_or(node.time, |m: SimTime| m.min(node.time)));
+            cur = node.next;
+        }
+        min
     }
 
     /// Number of pending events.
@@ -270,6 +365,7 @@ impl<E> CalendarQueue<E> {
     /// so FIFO guarantees survive a clear).
     pub fn clear(&mut self) {
         self.heads.fill(NIL);
+        self.sorted = NIL;
         self.nodes.clear();
         self.free = NIL;
         self.cur_day = 0;
@@ -285,8 +381,9 @@ impl<E> CalendarQueue<E> {
     /// Rebuilds the whole calendar: bucket count from the pending-set size,
     /// bucket width from the observed head gaps, cursor re-anchored on the
     /// earliest pending event. The live nodes stay where they are in the
-    /// arena; only their links are rewritten.
+    /// arena; only their links are rewritten, and no bucket is sorted.
     fn rebuild(&mut self) {
+        self.sorted = NIL;
         if self.len == 0 {
             self.heads.clear();
             self.heads.resize(MIN_BUCKETS, NIL);
@@ -328,13 +425,15 @@ impl<E> CalendarQueue<E> {
         }
         self.inv_width = 1.0 / self.width;
         self.cur_day = self.day_of(t_first);
-        // Re-thread newest slot first: slots fill in push order while the
-        // queue grows, so each node usually lands at its bucket's head.
-        // Free slots keep their links, so the free list survives as is.
-        for n in (0..self.nodes.len()).rev() {
+        // Prepend oldest slot first: slots fill in push order while the
+        // queue grows, so each bucket usually lists its nodes newest push
+        // first, the order the sort takes fastest. Free slots keep their
+        // links, so the free list survives as is.
+        for n in 0..self.nodes.len() {
             if self.nodes[n].event.is_some() {
                 let idx = self.bucket_of(self.day_of(self.nodes[n].time));
-                self.link(idx, n as u32);
+                self.nodes[n].next = self.heads[idx];
+                self.heads[idx] = n as u32;
             }
         }
     }
@@ -367,6 +466,7 @@ impl<E> std::fmt::Debug for CalendarQueue<E> {
             .field("buckets", &self.heads.len())
             .field("width", &self.width)
             .field("cur_day", &self.cur_day)
+            .field("sorted", &self.sorted)
             .field("next_seq", &self.next_seq)
             .finish()
     }
@@ -467,6 +567,67 @@ mod tests {
         q.push(t(5.0), "c");
         assert_eq!(q.pop().unwrap().1, "b");
         assert_eq!(q.pop().unwrap().1, "c");
+    }
+
+    #[test]
+    fn full_lap_fallback_finds_the_minimum_of_unsorted_buckets() {
+        // 16 buckets of 1 s. After "start" pops, the only sorted bucket is
+        // empty, and buckets 3 and 5 hold far events newest push first, so
+        // bucket 3 lists a2, b, a: its head is not its (time, seq) minimum.
+        // A full lap from day 0 finds nothing due and must jump to the
+        // global minimum.
+        let mut q = CalendarQueue::new();
+        q.push(t(0.0), "start");
+        q.push(t(16e6 + 3.0), "a");
+        q.push(t(32e6 + 3.0), "b");
+        q.push(t(16e6 + 5.0), "c");
+        q.push(t(16e6 + 3.0), "a2");
+        assert_eq!(q.pop().unwrap().1, "start");
+        assert_eq!(q.sorted, 0);
+        assert_eq!(q.peek_time(), Some(t(16e6 + 3.0)));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["a", "a2", "c", "b"]);
+    }
+
+    #[test]
+    fn ties_pushed_ahead_of_the_cursor_pop_fifo() {
+        // The ties go into a bucket the cursor has not reached, so each
+        // push prepends and the bucket is sorted once, on the first pop.
+        let mut q = CalendarQueue::new();
+        q.push(t(0.0), -1);
+        q.push(t(0.5), -2);
+        assert_eq!(q.pop().unwrap().1, -1);
+        for i in 0..1000 {
+            q.push(t(5.0), i);
+        }
+        assert_ne!(q.sorted as usize, q.bucket_of(q.day_of(t(5.0))));
+        assert_eq!(q.pop().unwrap().1, -2);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..1000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn clear_and_rebuild_unsort_every_bucket() {
+        let mut q = CalendarQueue::new();
+        q.push(t(1.0), 0);
+        q.push(t(2.0), 1);
+        q.pop();
+        assert_ne!(q.sorted, NIL);
+        q.clear();
+        assert_eq!(q.sorted, NIL);
+
+        for i in 0..32 {
+            q.push(t(f64::from(i)), i);
+        }
+        q.pop();
+        assert_ne!(q.sorted, NIL);
+        // The 33rd pending event passes 2 x 16 buckets: a grow rebuild.
+        q.push(t(40.0), 40);
+        q.push(t(41.0), 41);
+        assert_eq!(q.num_buckets(), 64);
+        assert_eq!(q.sorted, NIL);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (1..32).chain([40, 41]).collect::<Vec<_>>());
     }
 
     #[test]

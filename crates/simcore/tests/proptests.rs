@@ -31,7 +31,76 @@ fn queue_ops(len: usize) -> impl Strategy<Value = Vec<QueueOp>> {
     )
 }
 
+/// One step of an engine-shaped queue workload: a push relative to the
+/// last popped time, or a pop.
+#[derive(Debug, Clone, Copy)]
+enum EngineOp {
+    /// `last + delta`: µs-scale deltas like departures, seconds-scale ones
+    /// like think times, and zero for exact ties.
+    After(f64),
+    /// `last - delta`: below the calendar's cursor, which must move back.
+    Before(f64),
+    Pop,
+}
+
+fn engine_ops(len: usize) -> impl Strategy<Value = Vec<EngineOp>> {
+    prop::collection::vec(
+        (0u8..8, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
+            0 | 1 => EngineOp::After(x * 1e-4),
+            2 | 3 => EngineOp::After(x * 30.0),
+            4 => EngineOp::After(0.0),
+            5 => EngineOp::Before(x * 5.0),
+            _ => EngineOp::Pop,
+        }),
+        1..len,
+    )
+}
+
 proptest! {
+    /// Pushes anchored at the last *popped* time, the way the simulator
+    /// schedules, against the heap oracle with `peek_time` compared before
+    /// every pop. Unlike an anchor at the highest time pushed, this lands
+    /// pushes in the bucket the calendar's cursor has sorted, and below
+    /// the cursor.
+    #[test]
+    fn calendar_matches_heap_on_engine_shaped_ops(
+        prefill in prop::collection::vec(0.0f64..30.0, 0..400),
+        ops in engine_ops(800),
+    ) {
+        let mut cal = CalendarQueue::new();
+        let mut heap = HeapQueue::new();
+        for (i, &t) in prefill.iter().enumerate() {
+            cal.push(SimTime::from_secs(t), i);
+            heap.push(SimTime::from_secs(t), i);
+        }
+        let mut last = SimTime::ZERO;
+        for (i, op) in ops.into_iter().enumerate() {
+            let t = match op {
+                EngineOp::After(delta) => last + delta,
+                EngineOp::Before(delta) => SimTime::from_secs((last.as_secs() - delta).max(0.0)),
+                EngineOp::Pop => {
+                    prop_assert_eq!(cal.peek_time(), heap.peek_time(), "peek before pop");
+                    let popped = cal.pop();
+                    prop_assert_eq!(popped, heap.pop(), "calendar vs heap");
+                    if let Some((t, _)) = popped {
+                        last = t;
+                    }
+                    continue;
+                }
+            };
+            cal.push(t, prefill.len() + i);
+            heap.push(t, prefill.len() + i);
+        }
+        loop {
+            prop_assert_eq!(cal.peek_time(), heap.peek_time(), "peek during drain");
+            let popped = cal.pop();
+            prop_assert_eq!(popped, heap.pop(), "drain");
+            if popped.is_none() {
+                break;
+            }
+        }
+    }
+
     /// Random push/pop interleavings against a sorted-vec oracle: both
     /// queue kinds must agree with the oracle on every pop, for any mix of
     /// tie, near, and far-future times (the latter exercising the calendar's
