@@ -105,7 +105,8 @@ pub fn run_trace(config: &SimConfig, trace: &Trace) -> Result<SimReport, String>
         .collect();
     // Map an in-flight page's "last hit" back to its session: tag hits
     // with the session index in `Hit::client`.
-    let mut engine: Engine<Ev> = Engine::with_capacity(trace.len().min(1 << 16));
+    let mut engine: Engine<Ev> =
+        Engine::with_capacity(trace.len().min(1 << 16)).with_timer_slots(n_servers);
 
     for (i, s) in trace.sessions.iter().enumerate() {
         engine.schedule_at(SimTime::from_secs(s.start_s), Ev::SessionStart { session: i as u32 });
@@ -175,7 +176,7 @@ pub fn run_trace(config: &SimConfig, trace: &Trace) -> Result<SimReport, String>
                 let (hit, more) = servers[s].depart(now);
                 if more {
                     let svc = service[s].sample(&mut rng_service);
-                    engine.schedule_in(svc, Ev::Departure { server });
+                    engine.arm_in(s, svc, Ev::Departure { server });
                 }
                 if measuring {
                     hits_completed += 1;
@@ -240,7 +241,7 @@ pub fn run_trace(config: &SimConfig, trace: &Trace) -> Result<SimReport, String>
         }
     }
 
-    max_util_samples.sort_by(|a, b| a.total_cmp(b));
+    max_util_samples.sort_unstable_by(|a, b| a.total_cmp(b));
     Ok(SimReport {
         algorithm: config.algorithm.name(),
         seed: config.seed,
@@ -301,7 +302,7 @@ fn issue_page(
         };
         if servers[server].arrive(hit, now) {
             let svc = service[server].sample(rng_service);
-            engine.schedule_in(svc, Ev::Departure { server: server as u32 });
+            engine.arm_in(server, svc, Ev::Departure { server: server as u32 });
         }
     }
 }

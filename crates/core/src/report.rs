@@ -177,7 +177,7 @@ mod tests {
 
     fn report(samples: Vec<f64>) -> SimReport {
         let mut sorted = samples;
-        sorted.sort_by(|a, b| a.total_cmp(b));
+        sorted.sort_unstable_by(|a, b| a.total_cmp(b));
         SimReport {
             algorithm: "TEST".into(),
             seed: 0,

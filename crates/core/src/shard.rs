@@ -270,7 +270,7 @@ fn merge_harvests(
         hits_in_flight += h.hits_in_flight;
         metrics.push(h.metrics);
     }
-    max_util_samples.sort_by(|a, b| a.total_cmp(b));
+    max_util_samples.sort_unstable_by(|a, b| a.total_cmp(b));
 
     let span = cfg.duration_s;
     let report = SimReport {

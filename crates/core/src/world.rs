@@ -103,10 +103,12 @@ pub struct World {
     dns: DnsScheduler,
     // Dense struct-of-arrays session state — see `clients.rs`. At 1M
     // clients these columns hold 31 MiB, less than the event queue's
-    // ~36 MiB. Most of the queue's memory traffic at that scale is its
-    // pops: a far push (a client's next page or session) writes its
-    // node and one bucket head, and a bucket's nodes are read once, when
-    // the drain cursor sorts it (DESIGN §4, EXPERIMENTS.md X19).
+    // ~36 MiB. Hit completions, most of all events, never enter that
+    // queue: each server's next completion waits in the engine timer
+    // slot numbered by the server. What the queue holds is mostly far
+    // pushes (a client's next page or session), each of which writes its
+    // node and one bucket head; a bucket's nodes are read once, when the
+    // drain cursor sorts it (DESIGN §4, EXPERIMENTS.md X19).
     clients: ClientColumns,
     rng_think: StreamRng,
     rng_pages: StreamRng,
@@ -267,7 +269,8 @@ impl World {
         );
 
         Ok(World {
-            engine: Engine::with_capacity_and_kind(n_clients * 2 + 64, cfg.queue),
+            engine: Engine::with_capacity_and_kind(n_clients * 2 + 64, cfg.queue)
+                .with_timer_slots(n_servers),
             rng_think: streams.stream("think"),
             rng_pages: streams.stream("pages"),
             rng_hits: streams.stream("hits"),
@@ -546,7 +549,7 @@ impl World {
             let hit = Hit { client: client as usize, domain, last_of_page: i + 1 == hits };
             if self.servers[server].arrive(hit, now) {
                 let svc = self.service_dists[server].sample(&mut self.rng_service);
-                self.engine.schedule_in(svc, Ev::Departure { server: server as u32, epoch });
+                self.engine.arm_in(server, svc, Ev::Departure { server: server as u32, epoch });
             }
         }
         self.probe.on_queue_change(
@@ -567,7 +570,7 @@ impl World {
         let (hit, more) = self.servers[s].depart(now);
         if more {
             let svc = self.service_dists[s].sample(&mut self.rng_service);
-            self.engine.schedule_in(svc, Ev::Departure { server, epoch });
+            self.engine.arm_in(s, svc, Ev::Departure { server, epoch });
         }
         self.probe.on_queue_change(now, s, self.servers[s].queue_len(), QueueEvent::Depart);
         self.hits_served_total += 1;
@@ -818,7 +821,7 @@ impl World {
     }
 
     fn finalize(mut self) -> SimReport {
-        self.max_util_samples.sort_by(|a, b| a.total_cmp(b));
+        self.max_util_samples.sort_unstable_by(|a, b| a.total_cmp(b));
         let span = self.params.duration_s;
         // Close out servers still down at the horizon.
         let horizon = self.engine.now();
@@ -894,8 +897,7 @@ impl World {
     /// `until`, then stops — events at or past the barrier instant run in
     /// the next epoch, after the cross-shard exchange.
     pub(crate) fn run_epoch(&mut self, until: SimTime) {
-        while self.engine.next_event_time().is_some_and(|t| t < until) {
-            let (now, ev) = self.engine.step().expect("a pending event was just peeked");
+        while let Some((now, ev)) = self.engine.step_before(until) {
             self.dispatch(now, ev);
         }
     }

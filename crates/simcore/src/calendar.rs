@@ -165,8 +165,7 @@ impl<E> CalendarQueue<E> {
 
     /// Schedules `event` to fire at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         let node = Node { time, seq, next: NIL, event: Some(event) };
         let n = if self.free == NIL {
             let n = u32::try_from(self.nodes.len())
@@ -202,6 +201,32 @@ impl<E> CalendarQueue<E> {
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let idx = self.find_head()?;
+        Some(self.take_head(idx))
+    }
+
+    /// The `(time, seq)` key of the earliest pending event, if any. Moves
+    /// the drain cursor onto it exactly as [`pop`](CalendarQueue::pop)
+    /// would, so a `pop` that follows finds it at once.
+    pub fn head_key(&mut self) -> Option<(SimTime, u64)> {
+        let idx = self.find_head()?;
+        Some(self.key(self.heads[idx]))
+    }
+
+    /// Takes the next push sequence number without pushing anything, for
+    /// an event held outside the queue that must still order against the
+    /// queued ones by `(time, seq)`.
+    pub fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Moves the drain cursor onto the earliest pending event and returns
+    /// its bucket, which is then the sorted one with that event at its
+    /// head; `None` when the queue is empty.
+    #[inline]
+    fn find_head(&mut self) -> Option<usize> {
         if self.len == 0 {
             return None;
         }
@@ -218,7 +243,7 @@ impl<E> CalendarQueue<E> {
                 // if it belongs to the day the cursor is on (a later day in
                 // this bucket means the event is >= a full year away).
                 if self.day_of(self.nodes[head as usize].time) <= self.cur_day {
-                    return Some(self.take_head(idx));
+                    return Some(idx);
                 }
             }
             self.cur_day = self.cur_day.saturating_add(1);
@@ -232,7 +257,7 @@ impl<E> CalendarQueue<E> {
         if idx as u32 != self.sorted {
             self.sort_bucket(idx);
         }
-        Some(self.take_head(idx))
+        Some(idx)
     }
 
     /// Sorts bucket `idx` ascending by `(time, seq)` and makes it the

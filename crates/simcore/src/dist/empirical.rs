@@ -38,7 +38,7 @@ impl Empirical {
         if samples.iter().any(|x| !x.is_finite()) {
             return Err(ParamError::new("empirical samples must be finite"));
         }
-        samples.sort_by(|a, b| a.total_cmp(b));
+        samples.sort_unstable_by(|a, b| a.total_cmp(b));
         Ok(Empirical { sorted: samples })
     }
 

@@ -88,14 +88,28 @@ impl<E> HeapQueue<E> {
 
     /// Schedules `event` to fire at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         self.heap.push(Entry { time, seq, event });
     }
 
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| (e.time, e.event))
+    }
+
+    /// The `(time, seq)` key of the earliest pending event, if any. Takes
+    /// `&mut self` only to match [`CalendarQueue::head_key`].
+    pub fn head_key(&mut self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|e| (e.time, e.seq))
+    }
+
+    /// Takes the next push sequence number without pushing anything, for
+    /// an event held outside the queue that must still order against the
+    /// queued ones by `(time, seq)`.
+    pub fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
     /// The firing time of the earliest pending event, if any.
@@ -232,6 +246,28 @@ impl<E> EventQueue<E> {
         match &mut self.inner {
             Inner::Calendar(q) => q.pop(),
             Inner::Heap(q) => q.pop(),
+        }
+    }
+
+    /// The `(time, seq)` key of the earliest pending event, if any. The
+    /// calendar moves its drain cursor onto that event, so a
+    /// [`pop`](EventQueue::pop) that follows finds it at once.
+    #[inline]
+    pub fn head_key(&mut self) -> Option<(SimTime, u64)> {
+        match &mut self.inner {
+            Inner::Calendar(q) => q.head_key(),
+            Inner::Heap(q) => q.head_key(),
+        }
+    }
+
+    /// Takes the next push sequence number without pushing anything: an
+    /// event held outside the queue with this `seq` orders against the
+    /// queued ones exactly as if it had been pushed now.
+    #[inline]
+    pub fn take_seq(&mut self) -> u64 {
+        match &mut self.inner {
+            Inner::Calendar(q) => q.take_seq(),
+            Inner::Heap(q) => q.take_seq(),
         }
     }
 

@@ -154,7 +154,7 @@ impl Cdf {
 
     fn ensure_sorted(&mut self) {
         if !self.sorted.get() {
-            self.samples.sort_by(|a, b| a.total_cmp(b));
+            self.samples.sort_unstable_by(|a, b| a.total_cmp(b));
             self.sorted.set(true);
         }
     }

@@ -79,7 +79,7 @@ impl P2Quantile {
         if self.initial.len() < 5 {
             self.initial.push(x);
             if self.initial.len() == 5 {
-                self.initial.sort_by(|a, b| a.total_cmp(b));
+                self.initial.sort_unstable_by(|a, b| a.total_cmp(b));
                 self.heights.copy_from_slice(&self.initial);
             }
             return;
@@ -154,7 +154,7 @@ impl P2Quantile {
         }
         if self.initial.len() < 5 {
             let mut sorted = self.initial.clone();
-            sorted.sort_by(|a, b| a.total_cmp(b));
+            sorted.sort_unstable_by(|a, b| a.total_cmp(b));
             let idx = ((self.p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
             return Some(sorted[idx]);
         }

@@ -4,7 +4,9 @@ use geodns_simcore::dist::{
     Discrete, Distribution, Empirical, Exponential, Geometric, Uniform, Zipf, ZipfAlias,
 };
 use geodns_simcore::stats::{Cdf, Histogram, P2Quantile, Tally};
-use geodns_simcore::{CalendarQueue, EventQueue, HeapQueue, QueueKind, RngStreams, SimTime};
+use geodns_simcore::{
+    CalendarQueue, Engine, EventQueue, HeapQueue, QueueKind, RngStreams, SimTime,
+};
 use proptest::prelude::*;
 
 /// One step of a random queue workload: push an event at the given offset
@@ -56,7 +58,122 @@ fn engine_ops(len: usize) -> impl Strategy<Value = Vec<EngineOp>> {
     )
 }
 
+/// One step of a timer-slot workload against an [`Engine`].
+#[derive(Debug, Clone, Copy)]
+enum SlotOp {
+    /// Arm slot `n mod S` after a delay; arming an armed slot falls back
+    /// to the event list.
+    Arm(usize, f64),
+    /// Schedule on the event list after a delay.
+    Push(f64),
+    Step,
+    /// `step_before(now + delta)`.
+    StepBefore(f64),
+    /// `step_before` the oracle's head time: an event exactly at the
+    /// barrier must stay pending.
+    StepBeforeHead,
+    /// Compare `pending` and `next_event_time`.
+    Peek,
+    Clear,
+}
+
+fn slot_ops(len: usize) -> impl Strategy<Value = Vec<SlotOp>> {
+    // Delays on a 1/4 s grid half the time, so slot and list events tie
+    // on time often, and zero delays tie with the clock itself.
+    prop::collection::vec(
+        (0u8..16, 0usize..12, 0.0f64..2.0).prop_map(|(kind, n, x)| {
+            let delay = match n % 3 {
+                0 => 0.0,
+                1 => (x * 4.0).floor() / 4.0,
+                _ => x,
+            };
+            match kind {
+                0..=4 => SlotOp::Arm(n, delay),
+                5..=7 => SlotOp::Push(delay),
+                8..=11 => SlotOp::Step,
+                12 => SlotOp::StepBefore(delay),
+                13 => SlotOp::StepBeforeHead,
+                14 => SlotOp::Peek,
+                _ => SlotOp::Clear,
+            }
+        }),
+        1..len,
+    )
+}
+
 proptest! {
+    /// An engine with S timer slots against a heap that receives every
+    /// event through `push`, under both queue kinds: slot events draw
+    /// their seq from the engine's list, so the two must deliver the
+    /// identical `(time, event)` sequence, whether an event went into a
+    /// slot, into the list, or into the list because its slot was armed.
+    #[test]
+    fn engine_slots_match_a_heap_given_every_event(
+        slots in 1usize..12,
+        prefill in prop::collection::vec(0.0f64..5.0, 0..64),
+        ops in slot_ops(400),
+    ) {
+        for kind in [QueueKind::Calendar, QueueKind::Heap] {
+            let mut eng = Engine::with_kind(kind).with_timer_slots(slots);
+            let mut oracle = HeapQueue::new();
+            let mut id = 0u64;
+            for &delay in &prefill {
+                eng.schedule_in(delay, id);
+                oracle.push(SimTime::from_secs(delay), id);
+                id += 1;
+            }
+            for op in &ops {
+                let now = eng.now();
+                match *op {
+                    SlotOp::Arm(n, delay) => {
+                        eng.arm_in(n % slots, delay, id);
+                        oracle.push(now + delay, id);
+                        id += 1;
+                    }
+                    SlotOp::Push(delay) => {
+                        eng.schedule_in(delay, id);
+                        oracle.push(now + delay, id);
+                        id += 1;
+                    }
+                    SlotOp::Step => {
+                        prop_assert_eq!(eng.step(), oracle.pop(), "step under {:?}", kind);
+                    }
+                    SlotOp::StepBefore(delta) => {
+                        let until = now + delta;
+                        let expect = if oracle.peek_time().is_some_and(|t| t < until) {
+                            oracle.pop()
+                        } else {
+                            None
+                        };
+                        prop_assert_eq!(eng.step_before(until), expect, "step_before under {:?}", kind);
+                    }
+                    SlotOp::StepBeforeHead => {
+                        if let Some(head) = oracle.peek_time() {
+                            prop_assert_eq!(eng.step_before(head), None, "barrier event ran under {:?}", kind);
+                        }
+                    }
+                    SlotOp::Peek => {
+                        prop_assert_eq!(eng.pending(), oracle.len(), "pending under {:?}", kind);
+                        prop_assert_eq!(eng.next_event_time(), oracle.peek_time(), "next under {:?}", kind);
+                    }
+                    SlotOp::Clear => {
+                        eng.clear_pending();
+                        oracle.clear();
+                    }
+                }
+                prop_assert!(eng.now() >= now, "clock went backwards");
+            }
+            loop {
+                let delivered = eng.step();
+                prop_assert_eq!(delivered, oracle.pop(), "drain under {:?}", kind);
+                if delivered.is_none() {
+                    break;
+                }
+            }
+            prop_assert_eq!(eng.pending(), 0);
+        }
+    }
+
     /// Pushes anchored at the last *popped* time, the way the simulator
     /// schedules, against the heap oracle with `peek_time` compared before
     /// every pop. Unlike an anchor at the highest time pushed, this lands

@@ -19,7 +19,8 @@ use geodns_core::{
     ObsCounters, PolicyKind, Probe, SimConfig, TtlKind,
 };
 use geodns_server::HeterogeneityLevel;
-use geodns_simcore::{EventQueue, QueueKind, RngStreams, SimTime};
+use geodns_simcore::stats::Cdf;
+use geodns_simcore::{Engine, EventQueue, QueueKind, RngStreams, SimTime};
 
 /// Counts every `alloc`/`realloc` call (deallocations are free to ignore:
 /// the property under test is "no new heap traffic per event").
@@ -178,13 +179,7 @@ fn warm_calendar_queue_holds_without_allocating() {
     // pending-set size, so once warm the queue never allocates.
     const PENDING: u32 = 100_000;
     let mut q = EventQueue::with_kind(QueueKind::Calendar);
-    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut gap = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64 * 16.0
-    };
+    let mut gap = uniform(0x9E37_79B9_7F4A_7C15, 16.0);
     for i in 0..PENDING {
         q.push(SimTime::from_secs(gap()), i);
     }
@@ -198,6 +193,72 @@ fn warm_calendar_queue_holds_without_allocating() {
 
     let grew = allocations_during(|| hold(100_000));
     assert_eq!(grew, 0, "{grew} allocations across 100k warm calendar hold steps");
+}
+
+/// A xorshift64* stream of uniform draws in `[0, scale)`.
+fn uniform(seed: u64, scale: f64) -> impl FnMut() -> f64 {
+    let mut x = seed;
+    move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64 * scale
+    }
+}
+
+#[test]
+fn warm_engine_with_armed_timer_slots_steps_without_allocating() {
+    let _guard = SERIAL.lock().unwrap();
+
+    // The simulator's shape: a large pending set on the calendar plus one
+    // completion per server in a timer slot, re-armed as soon as it fires.
+    // The slots are a fixed array, so once the calendar is warm no step
+    // allocates, whichever side delivers.
+    const PENDING: u32 = 100_000;
+    const SLOTS: u32 = 7;
+    let mut eng = Engine::with_kind(QueueKind::Calendar).with_timer_slots(SLOTS as usize);
+    let mut gap = uniform(0x9E37_79B9_7F4A_7C15, 16.0);
+    let mut service = uniform(0xD1B5_4A32_D192_ED03, 0.01);
+    for i in 0..PENDING {
+        eng.schedule_in(gap(), i);
+    }
+    for s in 0..SLOTS {
+        eng.arm_in(s as usize, service(), PENDING + s);
+    }
+    let mut hold = |steps: u32| {
+        for _ in 0..steps {
+            let (_, payload) = eng.step().expect("the hold model never empties");
+            match payload.checked_sub(PENDING) {
+                Some(slot) => eng.arm_in(slot as usize, service(), payload),
+                None => eng.schedule_in(gap(), payload),
+            }
+        }
+    };
+    hold(PENDING);
+
+    let grew = allocations_during(|| hold(100_000));
+    assert_eq!(grew, 0, "{grew} allocations across 100k warm engine steps with armed slots");
+}
+
+#[test]
+fn cdf_quantile_sorts_in_place() {
+    let _guard = SERIAL.lock().unwrap();
+
+    // The first quantile sorts the retained samples. At 100k samples a
+    // sort that needs a scratch copy would double the CDF's footprint at
+    // the moment a run's reports are finalized; the sort is in place.
+    let mut draw = uniform(0x2545_F491_4F6C_DD1D, 1.0);
+    let mut unsorted = Cdf::new();
+    for _ in 0..100_000 {
+        unsorted.record(draw());
+    }
+    // One unsorted copy per attempt, made outside the measured window.
+    let mut copies = vec![unsorted.clone(), unsorted.clone(), unsorted];
+    let grew = allocations_during(|| {
+        let mut cdf = copies.pop().expect("one copy per attempt");
+        assert!(cdf.quantile(0.95).is_some());
+    });
+    assert_eq!(grew, 0, "{grew} allocations in the first quantile of a 100k-sample CDF");
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //! publishable. Same seed → identical report; the master seed, not global
 //! state, is the only source of randomness.
 
-use geodns_core::{run_all, run_simulation, Algorithm, QueueKind, SimConfig};
-use geodns_server::HeterogeneityLevel;
+use geodns_core::{run_all, run_simulation, Algorithm, FailoverModel, QueueKind, SimConfig};
+use geodns_server::{FailureSpec, HeterogeneityLevel};
+use geodns_simcore::fnv1a_64;
 
 fn config(seed: u64) -> SimConfig {
     let mut cfg = SimConfig::paper_default(Algorithm::drr2_ttl_s_k(), HeterogeneityLevel::H35);
@@ -79,4 +80,69 @@ fn algorithm_choice_does_not_consume_shared_randomness() {
     let b = run_simulation(&adaptive).unwrap();
     let ratio = a.hits_completed as f64 / b.hits_completed as f64;
     assert!((0.9..1.1).contains(&ratio), "hit totals diverged: {ratio}");
+}
+
+/// FNV-1a of a run's serialized report: one number that moves if any
+/// report byte does.
+fn report_digest(cfg: &SimConfig) -> u64 {
+    fnv1a_64(serde_json::to_string(&run_simulation(cfg).unwrap()).unwrap().as_bytes())
+}
+
+/// A short run in which servers crash often, with every optional recorder
+/// on: obs counters, the latency model and the utilization timeline.
+fn crash_heavy(seed: u64, failover: FailoverModel, spec: FailureSpec) -> SimConfig {
+    let mut cfg = config(seed);
+    cfg.failures.enabled = true;
+    cfg.failures.spec = spec;
+    cfg.failures.failover = failover;
+    cfg.obs.counters = true;
+    cfg.latency.enabled = true;
+    cfg.record_timeline = true;
+    cfg
+}
+
+#[test]
+fn report_digests_are_pinned() {
+    // Byte-identity across commits, not just across runs of one binary:
+    // an optimisation of the event loop must leave every report exactly
+    // as it was. The digests were recorded before the engine's per-server
+    // timer slots existed, so they pin the slots to the calendar-only
+    // delivery order. The flash-repair configs exercise a completion that
+    // is still pending when its server comes back: with a 2 ms mean
+    // repair a recovered server often takes a new hit before the stale
+    // completion fires, so two completions of one server are pending at
+    // once.
+    let retry = FailoverModel::RetryAfterBackoff { backoff_s: 5.0 };
+    let heavy = FailureSpec { mtbf_s: 400.0, mttr_s: 60.0 };
+    let flash = FailureSpec { mtbf_s: 20.0, mttr_s: 0.002 };
+    let mut configs: Vec<(String, SimConfig)> =
+        [1_u64, 2, 3].iter().map(|&s| (format!("paper seed {s}"), config(s))).collect();
+    for (name, failover) in [("pin", FailoverModel::PinUntilTtl), ("retry", retry)] {
+        for seed in [1_u64, 2, 3] {
+            configs.push((format!("crash {name} seed {seed}"), crash_heavy(seed, failover, heavy)));
+        }
+        configs.push((format!("flash repair {name}"), crash_heavy(4, failover, flash)));
+    }
+    let mut sharded = config(5);
+    sharded.shard.shards = 2;
+    configs.push(("2 shards seed 5".to_owned(), sharded));
+
+    let pinned: [u64; 12] = [
+        0x71412973b0c7f100,
+        0x96c4486a7edd2c09,
+        0x1527b2bd938a021a,
+        0xbf6d09248ce8efe2,
+        0xc1f2af78acdb0dc8,
+        0xaabeafc22a4a69bd,
+        0x229e0357978f0716,
+        0xc0c4182b2b33f5f8,
+        0x5ae6bf26e984d0ab,
+        0xff2c90fbf59c8a0d,
+        0x2661199765b2a6e6,
+        0x383768e909543526,
+    ];
+    let actual: Vec<u64> = configs.iter().map(|(_, cfg)| report_digest(cfg)).collect();
+    for (((name, _), &want), &got) in configs.iter().zip(&pinned).zip(&actual) {
+        assert_eq!(got, want, "report digest moved for {name}; all digests now: {actual:#018x?}");
+    }
 }
