@@ -103,12 +103,15 @@ impl UtilizationMonitor {
     }
 
     /// Restarts lifetime accounting at `now` (used to discard warm-up).
+    /// The current window is untouched: a busy period in progress is
+    /// folded into it up to `now` before the lifetime restarts.
     pub fn reset_lifetime(&mut self, now: SimTime) {
-        self.lifetime_busy = 0.0;
-        self.lifetime_start = now;
-        if self.busy_since.is_some() {
+        if let Some(since) = self.busy_since {
+            self.busy_accum += now.since(since);
             self.busy_since = Some(now);
         }
+        self.lifetime_busy = 0.0;
+        self.lifetime_start = now;
     }
 }
 
@@ -182,6 +185,17 @@ mod tests {
         m.set_busy(t(10.0), false);
         m.reset_lifetime(t(10.0));
         assert_eq!(m.lifetime_utilization(t(20.0)), 0.0);
+    }
+
+    #[test]
+    fn reset_lifetime_keeps_the_open_window() {
+        // Busy from t=4 through a lifetime reset at t=6: the window closing
+        // at t=8 still saw 4 busy seconds.
+        let mut m = UtilizationMonitor::new(t(0.0));
+        m.set_busy(t(4.0), true);
+        m.reset_lifetime(t(6.0));
+        assert!((m.close_window(t(8.0)) - 0.5).abs() < 1e-12);
+        assert!((m.lifetime_utilization(t(8.0)) - 1.0).abs() < 1e-12);
     }
 
     #[test]
