@@ -4,12 +4,16 @@
 //! scheduling.
 //!
 //! This is how you would drive the model from measured logs: serialize
-//! your sessions into the `Trace` line format and replay.
+//! your sessions into the `Trace` line format and replay. `run_trace`
+//! runs the trace through the same `World` as `run_simulation`, so every
+//! `SimConfig` feature applies to a replay too — failures, the latency
+//! model, client caches, recorders, the timeline — except sharding, which
+//! it refuses.
 //!
 //! Run with:
 //!
 //! ```sh
-//! cargo run --release --example trace_replay
+//! cargo run --release -p geodns-core --example trace_replay
 //! ```
 
 use geodns_core::{format_table, run_trace, Algorithm, SimConfig, Trace};
