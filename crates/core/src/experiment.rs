@@ -67,11 +67,11 @@ pub fn run_all_with_jobs(
     let next = std::sync::atomic::AtomicUsize::new(0);
     let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<SimReport, String>)>();
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let next = &next;
         for _ in 0..threads {
             let tx = tx.clone();
-            scope.spawn(move |_| loop {
+            scope.spawn(move || loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= configs.len() {
                     break;
@@ -81,8 +81,7 @@ pub fn run_all_with_jobs(
                 }
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
     drop(tx);
 
     let mut results: Vec<Option<Result<SimReport, String>>> = Vec::new();

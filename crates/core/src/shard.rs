@@ -195,12 +195,11 @@ pub(crate) fn run_sharded(cfg: &SimConfig) -> Result<(SimReport, RunMetrics), St
         epoch += 1;
         let until = SimTime::from_secs(cfg.shard.epoch_s * epoch as f64);
         if cfg.shard.parallel {
-            crossbeam::scope(|scope| {
+            std::thread::scope(|scope| {
                 for w in worlds.iter_mut() {
-                    scope.spawn(move |_| w.run_epoch(until));
+                    scope.spawn(move || w.run_epoch(until));
                 }
-            })
-            .expect("shard worker panicked");
+            });
         } else {
             for w in worlds.iter_mut() {
                 w.run_epoch(until);
