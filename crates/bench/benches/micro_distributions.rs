@@ -1,86 +1,43 @@
-//! Criterion micro-benchmarks for the random-variate samplers — the
-//! workload model draws millions of these per run.
+//! Micro-benchmarks for the random-variate samplers — the workload model
+//! draws millions of these per run. Prints best-of-N ns per draw;
+//! `GEODNS_QUICK=1` / `--quick` shortens the runs for CI smoke.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
+
+use geodns_bench::{best_ns_per_op, print_ns_per_op, quick_mode};
 use geodns_simcore::dist::{Discrete, DiscreteUniform, Distribution, Exponential, Geometric, Zipf};
 use geodns_simcore::RngStreams;
 
-const DRAWS: u64 = 10_000;
-
-fn bench_samplers(c: &mut Criterion) {
-    let mut g = c.benchmark_group("distributions");
-    g.throughput(Throughput::Elements(DRAWS));
-
-    let exp = Exponential::with_mean(15.0);
-    g.bench_function("exponential", |b| {
-        let mut rng = RngStreams::new(1).stream("exp");
-        b.iter(|| {
-            let mut acc = 0.0;
-            for _ in 0..DRAWS {
-                acc += exp.sample(&mut rng);
-            }
-            acc
-        });
+/// Best-of-`repeats` ns per draw of `dist` from a stream seeded `seed`.
+fn per_draw<T>(
+    name: &str,
+    seed: u64,
+    dist: &impl Distribution<T>,
+    draws: u64,
+    repeats: usize,
+) -> (String, f64) {
+    let mut rng = RngStreams::new(seed).stream(name);
+    let ns = best_ns_per_op(draws, repeats, |_| {
+        black_box(dist.sample(&mut rng));
     });
+    (name.to_string(), ns)
+}
 
-    let hits = DiscreteUniform::new(5, 15).unwrap();
-    g.bench_function("discrete_uniform", |b| {
-        let mut rng = RngStreams::new(2).stream("du");
-        b.iter(|| {
-            let mut acc = 0u64;
-            for _ in 0..DRAWS {
-                acc += hits.sample(&mut rng);
-            }
-            acc
-        });
-    });
-
-    let pages = Geometric::with_mean(20.0).unwrap();
-    g.bench_function("geometric", |b| {
-        let mut rng = RngStreams::new(3).stream("geo");
-        b.iter(|| {
-            let mut acc = 0u64;
-            for _ in 0..DRAWS {
-                acc += pages.sample(&mut rng);
-            }
-            acc
-        });
-    });
-
-    let zipf = Zipf::new(100, 1.0).unwrap();
-    g.bench_function("zipf_alias_k100", |b| {
-        let mut rng = RngStreams::new(4).stream("zipf");
-        b.iter(|| {
-            let mut acc = 0usize;
-            for _ in 0..DRAWS {
-                acc += zipf.sample(&mut rng);
-            }
-            acc
-        });
-    });
-
+fn main() {
+    let (draws, repeats) = if quick_mode() { (200_000, 3) } else { (2_000_000, 5) };
     let weights: Vec<f64> = (1..=1000).map(|i| 1.0 / f64::from(i)).collect();
-    let discrete = Discrete::from_weights(&weights).unwrap();
-    g.bench_function("alias_k1000", |b| {
-        let mut rng = RngStreams::new(5).stream("alias");
-        b.iter(|| {
-            let mut acc = 0usize;
-            for _ in 0..DRAWS {
-                acc += discrete.sample(&mut rng);
-            }
-            acc
-        });
-    });
-
-    g.finish();
+    let rows = vec![
+        per_draw("exponential", 1, &Exponential::with_mean(15.0), draws, repeats),
+        per_draw("discrete_uniform", 2, &DiscreteUniform::new(5, 15).unwrap(), draws, repeats),
+        per_draw("geometric", 3, &Geometric::with_mean(20.0).unwrap(), draws, repeats),
+        per_draw("zipf_alias_k100", 4, &Zipf::new(100, 1.0).unwrap(), draws, repeats),
+        per_draw("alias_k1000", 5, &Discrete::from_weights(&weights).unwrap(), draws, repeats),
+        (
+            "alias_table_build_k1000".to_string(),
+            best_ns_per_op(draws / 1000, repeats, |_| {
+                black_box(Discrete::from_weights(&weights).unwrap());
+            }),
+        ),
+    ];
+    print_ns_per_op("random-variate samplers (ns per draw; table build per table)", &rows);
 }
-
-fn bench_construction(c: &mut Criterion) {
-    c.bench_function("alias_table_build_k1000", |b| {
-        let weights: Vec<f64> = (1..=1000).map(|i| 1.0 / f64::from(i)).collect();
-        b.iter(|| Discrete::from_weights(&weights).unwrap());
-    });
-}
-
-criterion_group!(benches, bench_samplers, bench_construction);
-criterion_main!(benches);

@@ -14,17 +14,16 @@
 //!   pending events);
 //! * `GEODNS_QUICK=1` / `--quick` — shortened smoke run for CI, which also
 //!   drops the 1M-pending point;
-//! * `--check` — after measuring, compare against the checked-in
-//!   `BENCH_engine.json` at the repository root and exit non-zero if the
-//!   calendar queue's throughput advantage over the heap regressed by more
-//!   than 20%. The gate compares *speedups* (calendar ÷ heap on the same
-//!   machine, same run), not raw events/sec, so absolute machine speed
-//!   cancels out and the check is meaningful on any CI runner.
+//! * `--check` — after measuring, gate the calendar ÷ heap speedup at
+//!   every pending-set size against the floors in the checked-in
+//!   `BENCH_engine.json` (see [`geodns_bench::gate`]; each gate's `note`
+//!   says why its floor sits where it does). Speedups, not raw
+//!   events/sec, so absolute machine speed cancels out.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
-use geodns_bench::{output_dir, quick_mode};
+use geodns_bench::gate::{self, Check};
+use geodns_bench::{best_ns_per_op, output_dir, quick_mode};
 use geodns_core::{format_table, run_simulation, Algorithm, QueueKind, SimConfig};
 use geodns_server::HeterogeneityLevel;
 use geodns_simcore::{EventQueue, SimTime};
@@ -63,29 +62,21 @@ impl HoldRng {
     }
 }
 
-/// Runs `steps` hold operations over a queue prefilled with `pending`
-/// events and returns the measured events/sec (one hold = one pop + one
-/// push = counted as one event delivered).
-fn hold_throughput(kind: QueueKind, pending: usize, steps: u64) -> f64 {
+/// Best-of-`repeats` events/sec for `steps` hold operations over a
+/// queue prefilled with `pending` events (one hold = one pop + one push
+/// = counted as one event delivered).
+fn hold_throughput(kind: QueueKind, pending: usize, steps: u64, repeats: usize) -> f64 {
     let mut q = EventQueue::<u32>::with_capacity_and_kind(pending, kind);
     let mut rng = HoldRng(0x9E37_79B9_7F4A_7C15 ^ pending as u64);
     for i in 0..pending {
         q.push(SimTime::from_secs(rng.next_increment()), i as u32);
     }
-    let t0 = Instant::now();
-    for _ in 0..steps {
+    let ns = best_ns_per_op(steps, repeats, |_| {
         let (t, payload) = q.pop().expect("hold model never empties");
         q.push(t + rng.next_increment(), payload);
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
+    });
     assert!(q.len() == pending, "hold model must preserve the pending set");
-    steps as f64 / elapsed
-}
-
-/// Best-of-`repeats` hold throughput (max events/sec: the minimum-noise
-/// estimator for a CPU-bound inner loop).
-fn hold_best(kind: QueueKind, pending: usize, steps: u64, repeats: usize) -> f64 {
-    (0..repeats).map(|_| hold_throughput(kind, pending, steps)).fold(0.0, f64::max)
+    1e9 / ns
 }
 
 /// Wall-clock seconds for one paper simulation on the given queue kind.
@@ -107,52 +98,8 @@ fn end_to_end_seconds(kind: QueueKind, quick: bool) -> f64 {
     elapsed
 }
 
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// Loads the checked-in baseline and fails the process if the measured
-/// calendar-vs-heap speedup regressed by more than 20% at any size.
-fn check_against_baseline(points: &[HoldPoint]) {
-    let path = repo_root().join("BENCH_engine.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("--check: cannot read {}: {e}", path.display()));
-    let baseline: serde_json::Value =
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("--check: bad baseline JSON: {e}"));
-
-    let mut failed = false;
-    for p in points {
-        let base = baseline["hold"]
-            .as_array()
-            .into_iter()
-            .flatten()
-            .find(|b| b["pending"].as_u64() == Some(p.pending as u64));
-        let Some(base) = base else {
-            eprintln!("--check: no baseline entry for pending={}, skipping", p.pending);
-            continue;
-        };
-        let base_speedup = base["speedup"].as_f64().expect("baseline speedup");
-        let now = p.speedup();
-        let floor = base_speedup * 0.8;
-        let verdict = if now < floor { "REGRESSED" } else { "ok" };
-        eprintln!(
-            "check pending={:>7}: speedup {:.2}x vs baseline {:.2}x (floor {:.2}x) … {verdict}",
-            p.pending, now, base_speedup, floor
-        );
-        if now < floor {
-            failed = true;
-        }
-    }
-    if failed {
-        eprintln!("micro_engine: calendar-queue throughput regressed >20% vs BENCH_engine.json");
-        std::process::exit(1);
-    }
-    eprintln!("micro_engine: throughput within 20% of the checked-in baseline");
-}
-
 fn main() {
     let quick = quick_mode();
-    let check = std::env::args().any(|a| a == "--check");
     let (steps, repeats) = if quick { (400_000u64, 2) } else { (4_000_000u64, 3) };
     // The 1M point is where the calendar's memory layout, not its
     // algorithm, sets the pace; it takes seconds, so quick mode skips it.
@@ -166,8 +113,8 @@ fn main() {
 
     let mut points = Vec::new();
     for &pending in sizes {
-        let heap_eps = hold_best(QueueKind::Heap, pending, steps, repeats);
-        let calendar_eps = hold_best(QueueKind::Calendar, pending, steps, repeats);
+        let heap_eps = hold_throughput(QueueKind::Heap, pending, steps, repeats);
+        let calendar_eps = hold_throughput(QueueKind::Calendar, pending, steps, repeats);
         points.push(HoldPoint { pending, heap_eps, calendar_eps });
     }
 
@@ -213,7 +160,14 @@ fn main() {
         .expect("write micro_engine.json");
     eprintln!("wrote {}", path.display());
 
-    if check {
-        check_against_baseline(&points);
+    if gate::requested() {
+        let mut check = Check::load("BENCH_engine.json");
+        for p in &points {
+            check.measure(format!("hold_speedup.pending_{}", p.pending), p.speedup());
+        }
+        if quick {
+            check.skip("hold_speedup.pending_1000000", "quick mode drops the 1M-pending point");
+        }
+        check.finish();
     }
 }

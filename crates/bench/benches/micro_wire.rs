@@ -21,48 +21,21 @@
 //!
 //! * default — full measurement;
 //! * `GEODNS_QUICK=1` / `--quick` — shortened smoke run for CI;
-//! * `--check` — after measuring, compare against `BENCH_wire.json` at
-//!   the repository root and exit non-zero if the fast path's advantage
-//!   over the slow path regressed by more than 40%, or (on Linux) if the
-//!   batched transport's advantage over the single-datagram transport
-//!   fell below the baseline's conservative floor (~1.5x vs the ~1.8x
-//!   measured even on a single shared core, where reuseport cannot add
-//!   parallelism — only syscall amortization is being gated), or (when
-//!   io_uring is available) if the uring transport fell below its floor
-//!   relative to batched — the uring gate asks "did the single-enter
-//!   round keep up with the two-syscall round", so it is a ratio near
-//!   1x with a floor low enough to absorb scheduler noise, not a
-//!   speedup claim. Like
-//!   `micro_engine --check`, the gates compare *speedups* measured on the
+//! * `--check` — after measuring, gate three same-run ratios against
+//!   the floors in the checked-in `BENCH_wire.json` (see
+//!   [`geodns_bench::gate`]; each gate's `note` says why its floor sits
+//!   where it does): fast path over slow path, batched over single
+//!   transport, and uring over batched transport. Ratios measured on the
 //!   same machine in the same run, so absolute machine speed cancels out.
-//!   The serve margin is wider than `micro_engine`'s 20% because a ~15x
-//!   ratio amplifies run-to-run noise in the small denominator; the gate
-//!   exists to catch the fast path silently falling off (speedup → 1x),
-//!   not 10% drift. The absolute qps floor is enforced separately by the
-//!   CI daemon smoke job (`loadgen --min-qps`).
+//!   The transport gates are skipped off Linux, where `IoMode::Batched`
+//!   degrades to the portable fallback, and the uring gate where the
+//!   kernel grants no io_uring. The absolute qps floor is enforced
+//!   separately by the CI daemon smoke job (`loadgen --min-qps`).
 
-use std::net::UdpSocket;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
-
-use geodns_bench::{output_dir, quick_mode};
+use geodns_bench::gate::{self, Check};
+use geodns_bench::{best_ns_per_op, closed_loop_qps, output_dir, quick_mode};
 use geodns_core::format_table;
-use geodns_wire::mmsg::{self, RecvBatch, SendBatch};
 use geodns_wire::{AuthoritativeServer, Daemon, DaemonConfig, IoMode, Message, Question};
-
-/// Queries/sec for `iters` runs of `f`, best of `repeats` attempts (the
-/// minimum-noise estimator for a CPU-bound inner loop).
-fn best_qps(iters: u64, repeats: usize, mut f: impl FnMut(u64)) -> f64 {
-    let mut best = 0.0_f64;
-    for _ in 0..repeats {
-        let t0 = Instant::now();
-        for i in 0..iters {
-            f(i);
-        }
-        best = best.max(iters as f64 / t0.elapsed().as_secs_f64());
-    }
-    best
-}
 
 struct CodecNumbers {
     encode_fresh_qps: f64,
@@ -73,17 +46,20 @@ struct CodecNumbers {
 fn bench_codec(iters: u64, repeats: usize) -> CodecNumbers {
     let query = Message::query(7, Question::a("www.example.org"));
     let bytes = query.to_bytes();
-    let encode_fresh_qps = best_qps(iters, repeats, |_| {
-        std::hint::black_box(query.to_bytes());
-    });
+    let encode_fresh_qps = 1e9
+        / best_ns_per_op(iters, repeats, |_| {
+            std::hint::black_box(query.to_bytes());
+        });
     let mut buf = Vec::with_capacity(128);
-    let encode_reuse_qps = best_qps(iters, repeats, |_| {
-        query.write_bytes(&mut buf);
-        std::hint::black_box(buf.len());
-    });
-    let parse_qps = best_qps(iters, repeats, |_| {
-        std::hint::black_box(Message::parse(&bytes).expect("valid query"));
-    });
+    let encode_reuse_qps = 1e9
+        / best_ns_per_op(iters, repeats, |_| {
+            query.write_bytes(&mut buf);
+            std::hint::black_box(buf.len());
+        });
+    let parse_qps = 1e9
+        / best_ns_per_op(iters, repeats, |_| {
+            std::hint::black_box(Message::parse(&bytes).expect("valid query"));
+        });
     CodecNumbers { encode_fresh_qps, encode_reuse_qps, parse_qps }
 }
 
@@ -107,156 +83,37 @@ fn bench_serve(iters: u64, repeats: usize) -> ServeNumbers {
     padded.push(0);
     let mut out = Vec::with_capacity(128);
     let mut now = 0.0_f64;
-    let fast_qps = best_qps(iters, repeats, |i| {
-        now += 0.001;
-        let src = [10, (i % 4) as u8, 0, 1];
-        server.handle_into(&query, src, now, &mut out).expect("fast path answers");
-    });
-    let slow_qps = best_qps(iters, repeats, |i| {
-        now += 0.001;
-        let src = [10, (i % 4) as u8, 0, 1];
-        server.handle_into(&padded, src, now, &mut out).expect("slow path answers");
-    });
+    let fast_qps = 1e9
+        / best_ns_per_op(iters, repeats, |i| {
+            now += 0.001;
+            let src = [10, (i % 4) as u8, 0, 1];
+            server.handle_into(&query, src, now, &mut out).expect("fast path answers");
+        });
+    let slow_qps = 1e9
+        / best_ns_per_op(iters, repeats, |i| {
+            now += 0.001;
+            let src = [10, (i % 4) as u8, 0, 1];
+            server.handle_into(&padded, src, now, &mut out).expect("slow path answers");
+        });
     ServeNumbers { fast_qps, slow_qps }
 }
 
 /// End-to-end answers/sec through a real loopback daemon in the given
-/// io mode: `workers` daemon threads, `clients` closed-loop query
-/// threads each keeping `window` queries in flight through the `mmsg`
-/// batched-socket arenas (window 1 reproduces the classic
-/// one-datagram-per-syscall client).
+/// io mode: `workers` daemon threads under [`closed_loop_qps`] load.
 fn bench_daemon(io_mode: IoMode, workers: usize, clients: usize, window: usize, secs: f64) -> f64 {
     let shards = (0..workers).map(|w| AuthoritativeServer::example_shard(w as u64, 7)).collect();
     let mut cfg = DaemonConfig::new("127.0.0.1:0".parse().expect("valid addr"));
     cfg.io_mode = io_mode;
     let daemon = Daemon::spawn(&cfg, shards).expect("daemon spawns");
-    let target = daemon.local_addr();
-
-    let t0 = Instant::now();
-    let deadline = t0 + Duration::from_secs_f64(secs);
-    let threads: Vec<_> = (0..clients)
-        .map(|c| {
-            std::thread::spawn(move || {
-                let socket = UdpSocket::bind("127.0.0.1:0").expect("client bind");
-                socket.connect(target).expect("connect");
-                socket.set_read_timeout(Some(Duration::from_secs(1))).expect("timeout");
-                let query = Message::query(0, Question::a("www.example.org")).to_bytes();
-                let mut tx = SendBatch::new(window, 512);
-                let mut rx = RecvBatch::new(window, 512);
-                let mut answered = 0u64;
-                let mut id = (c as u16) << 10;
-                while Instant::now() < deadline {
-                    for _ in 0..window {
-                        id = id.wrapping_add(1);
-                        let buf = tx.buffer();
-                        buf.extend_from_slice(&query);
-                        buf[0..2].copy_from_slice(&id.to_be_bytes());
-                        tx.commit(target);
-                    }
-                    mmsg::send_batch(&socket, &mut tx);
-                    let mut got = 0;
-                    while got < window {
-                        match mmsg::recv_batch(&socket, &mut rx) {
-                            Ok(n) => {
-                                for i in 0..n {
-                                    let (resp, _) = rx.datagram(i);
-                                    assert!(resp.len() > 12, "short response");
-                                }
-                                answered += n as u64;
-                                got += n;
-                            }
-                            // A recv timeout re-sends the burst: the loop
-                            // is closed, lost datagrams just cost time.
-                            Err(_) => break,
-                        }
-                    }
-                }
-                answered
-            })
-        })
-        .collect();
-    let answered: u64 = threads.into_iter().map(|t| t.join().expect("client panicked")).sum();
-    let elapsed = t0.elapsed().as_secs_f64();
+    let qps = closed_loop_qps(daemon.local_addr(), clients, window, secs, |_| {});
     let report = daemon.shutdown();
     assert_eq!(report.totals().dropped, 0, "daemon dropped well-formed queries");
     assert_eq!(report.totals().tx_errors, 0, "daemon hit transmit errors");
-    answered as f64 / elapsed
-}
-
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// Loads the checked-in baseline and fails the process if the measured
-/// fast-path speedup regressed by more than 40% (see the module docs for
-/// why this margin is wider than `micro_engine`'s), if the batched
-/// transport's advantage over the single-datagram transport fell below
-/// the baseline's conservative floor, or if the uring transport fell
-/// below its floor relative to batched. The transport gates only apply
-/// on Linux: elsewhere `IoMode::Batched` degrades to the portable
-/// fallback and the ratios are 1x by construction; the uring gate
-/// additionally needs a kernel that can grant a ring.
-fn check_against_baseline(
-    serve: &ServeNumbers,
-    batched_vs_single: f64,
-    uring_vs_batched: Option<f64>,
-) {
-    let path = repo_root().join("BENCH_wire.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("--check: cannot read {}: {e}", path.display()));
-    let baseline: serde_json::Value =
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("--check: bad baseline JSON: {e}"));
-
-    let base_speedup =
-        baseline["serve"]["fast_path_speedup"].as_f64().expect("baseline fast_path_speedup");
-    let now = serve.speedup();
-    let floor = base_speedup * 0.6;
-    eprintln!(
-        "check fast-path speedup {now:.2}x vs baseline {base_speedup:.2}x (floor {floor:.2}x)"
-    );
-    if now < floor {
-        eprintln!("micro_wire: fast-path speedup regressed >40% vs BENCH_wire.json");
-        std::process::exit(1);
-    }
-    eprintln!("micro_wire: fast-path speedup within 40% of the checked-in baseline");
-
-    if cfg!(target_os = "linux") {
-        let gate = baseline["daemon_batched"]["gate_floor"]
-            .as_f64()
-            .expect("baseline daemon_batched.gate_floor");
-        eprintln!(
-            "check batched-vs-single transport speedup {batched_vs_single:.2}x (floor {gate:.2}x)"
-        );
-        if batched_vs_single < gate {
-            eprintln!("micro_wire: batched transport speedup fell below the BENCH_wire.json floor");
-            std::process::exit(1);
-        }
-        eprintln!("micro_wire: batched transport speedup holds the checked-in floor");
-
-        match uring_vs_batched {
-            Some(ratio) => {
-                let floor = baseline["daemon_uring"]["gate_floor"]
-                    .as_f64()
-                    .expect("baseline daemon_uring.gate_floor");
-                eprintln!("check uring-vs-batched transport ratio {ratio:.2}x (floor {floor:.2}x)");
-                if ratio < floor {
-                    eprintln!(
-                        "micro_wire: uring transport ratio fell below the BENCH_wire.json floor"
-                    );
-                    std::process::exit(1);
-                }
-                eprintln!("micro_wire: uring transport ratio holds the checked-in floor");
-            }
-            None => eprintln!("micro_wire: skipping the uring gate (io_uring unavailable)"),
-        }
-    } else {
-        eprintln!("micro_wire: skipping the transport gates (non-Linux fallback io)");
-    }
+    qps
 }
 
 fn main() {
     let quick = quick_mode();
-    let check = std::env::args().any(|a| a == "--check");
     let (iters, repeats) = if quick { (200_000u64, 2) } else { (2_000_000u64, 3) };
     let daemon_secs = if quick { 1.0 } else { 3.0 };
 
@@ -268,34 +125,18 @@ fn main() {
     let codec = bench_codec(iters, repeats);
     let serve = bench_serve(iters, repeats);
     // Best of two attempts per mode: one daemon run is at the mercy of
-    // scheduler placement, and the gate below consumes the ratio.
-    eprintln!("[micro_wire] end-to-end loopback daemon, single io (2 x {daemon_secs:.0} s) …");
-    let daemon_single = bench_daemon(IoMode::Single, 2, 4, 1, daemon_secs).max(bench_daemon(
-        IoMode::Single,
-        2,
-        4,
-        1,
-        daemon_secs,
-    ));
-    eprintln!("[micro_wire] end-to-end loopback daemon, batched io (2 x {daemon_secs:.0} s) …");
-    let daemon_batched = bench_daemon(IoMode::Batched, 2, 4, 32, daemon_secs).max(bench_daemon(
-        IoMode::Batched,
-        2,
-        4,
-        32,
-        daemon_secs,
-    ));
+    // scheduler placement, and the gates consume the ratios.
+    let daemon = |io_mode: IoMode, window: usize| {
+        eprintln!(
+            "[micro_wire] end-to-end loopback daemon, {io_mode} io (2 x {daemon_secs:.0} s) …"
+        );
+        let run = || bench_daemon(io_mode, 2, 4, window, daemon_secs);
+        run().max(run())
+    };
+    let daemon_single = daemon(IoMode::Single, 1);
+    let daemon_batched = daemon(IoMode::Batched, 32);
     let batched_vs_single = daemon_batched / daemon_single;
-    let daemon_uring = geodns_wire::uring::supported().then(|| {
-        eprintln!("[micro_wire] end-to-end loopback daemon, uring io (2 x {daemon_secs:.0} s) …");
-        bench_daemon(IoMode::Uring, 2, 4, 32, daemon_secs).max(bench_daemon(
-            IoMode::Uring,
-            2,
-            4,
-            32,
-            daemon_secs,
-        ))
-    });
+    let daemon_uring = geodns_wire::uring::supported().then(|| daemon(IoMode::Uring, 32));
     let uring_vs_batched = daemon_uring.map(|qps| qps / daemon_batched);
 
     let rows = vec![
@@ -370,7 +211,21 @@ fn main() {
         .expect("write micro_wire.json");
     eprintln!("wrote {}", path.display());
 
-    if check {
-        check_against_baseline(&serve, batched_vs_single, uring_vs_batched);
+    if gate::requested() {
+        let mut check = Check::load("BENCH_wire.json");
+        check.measure("serve.fast_path_speedup", serve.speedup());
+        if cfg!(target_os = "linux") {
+            check.measure("daemon.batched_vs_single", batched_vs_single);
+            match uring_vs_batched {
+                Some(ratio) => check.measure("daemon.uring_vs_batched", ratio),
+                None => check.skip("daemon.uring_vs_batched", "the kernel grants no io_uring"),
+            }
+        } else {
+            for metric in ["daemon.batched_vs_single", "daemon.uring_vs_batched"] {
+                check
+                    .skip(metric, "non-Linux fallback io: transport ratios are 1x by construction");
+            }
+        }
+        check.finish();
     }
 }

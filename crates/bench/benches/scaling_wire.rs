@@ -17,28 +17,25 @@
 //!
 //! * default — full measurement (3 s per cell, best of 2);
 //! * `GEODNS_QUICK=1` / `--quick` — 1 s per cell for CI smoke;
-//! * `--check` — gate the chart against the `scaling` section of the
-//!   checked-in `BENCH_wire.json`: at every measured worker count the
-//!   throughput must stay above `gate_min_ratio` × the 1-worker number.
-//!   The floor is deliberately a *collapse* detector, not a scaling
-//!   claim: the committed baseline comes from a single-core box where
-//!   the ideal curve is flat and contention can only push it down, so
-//!   the gate fails when adding workers destroys throughput (lock
-//!   convoying, ring thrashing), never when a small box fails to show
-//!   a big box's speedup.
+//! * `--check` — gate the lowest pinned multi-worker throughput, as a
+//!   ratio of the pinned 1-worker cell, against the collapse floor in the
+//!   checked-in `BENCH_scaling_wire.json` (see [`geodns_bench::gate`]; the
+//!   gate's `note` says why the floor sits where it does). The floor is
+//!   deliberately a *collapse* detector, not a scaling claim: the
+//!   committed baseline comes from a single-core box where the ideal
+//!   curve is flat and contention can only push it down, so the gate
+//!   fails when adding workers destroys throughput (lock convoying, ring
+//!   thrashing), never when a small box fails to show a big box's
+//!   speedup.
 //!
 //! The full grid is persisted to `target/paper/scaling_wire.json`; the
-//! committed `BENCH_wire.json` section is a hand-promoted snapshot of a
-//! reference run plus the gate floor.
+//! committed `BENCH_scaling_wire.json` is a hand-promoted snapshot of a
+//! reference run plus the gate.
 
-use std::net::UdpSocket;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
-
-use geodns_bench::{output_dir, quick_mode};
+use geodns_bench::gate::{self, Check};
+use geodns_bench::{closed_loop_qps, output_dir, quick_mode};
 use geodns_core::format_table;
-use geodns_wire::mmsg::{self, RecvBatch, SendBatch};
-use geodns_wire::{affinity, AuthoritativeServer, Daemon, DaemonConfig, IoMode, Message, Question};
+use geodns_wire::{affinity, AuthoritativeServer, Daemon, DaemonConfig, IoMode};
 
 const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
 const CLIENTS: usize = 4;
@@ -56,95 +53,18 @@ fn bench_cell(io_mode: IoMode, workers: usize, pin: bool, secs: f64) -> f64 {
     cfg.io_mode = io_mode;
     cfg.pin = pin.then_some(0);
     let daemon = Daemon::spawn(&cfg, shards).expect("daemon spawns");
-    let target = daemon.local_addr();
     let online = affinity::online_cpus().max(1);
-
-    let t0 = Instant::now();
-    let deadline = t0 + Duration::from_secs_f64(secs);
-    let threads: Vec<_> = (0..CLIENTS)
-        .map(|c| {
-            std::thread::spawn(move || {
-                if pin && online > workers {
-                    let _ = affinity::pin_to_core(workers + (c % (online - workers)));
-                }
-                let socket = UdpSocket::bind("127.0.0.1:0").expect("client bind");
-                socket.connect(target).expect("connect");
-                socket.set_read_timeout(Some(Duration::from_secs(1))).expect("timeout");
-                let query = Message::query(0, Question::a("www.example.org")).to_bytes();
-                let mut tx = SendBatch::new(WINDOW, 512);
-                let mut rx = RecvBatch::new(WINDOW, 512);
-                let mut answered = 0u64;
-                let mut id = (c as u16) << 10;
-                while Instant::now() < deadline {
-                    for _ in 0..WINDOW {
-                        id = id.wrapping_add(1);
-                        let buf = tx.buffer();
-                        buf.extend_from_slice(&query);
-                        buf[0..2].copy_from_slice(&id.to_be_bytes());
-                        tx.commit(target);
-                    }
-                    mmsg::send_batch(&socket, &mut tx);
-                    let mut got = 0;
-                    while got < WINDOW {
-                        match mmsg::recv_batch(&socket, &mut rx) {
-                            Ok(n) => {
-                                answered += n as u64;
-                                got += n;
-                            }
-                            // Timeout re-sends the burst; the loop stays
-                            // closed and lost datagrams just cost time.
-                            Err(_) => break,
-                        }
-                    }
-                }
-                answered
-            })
-        })
-        .collect();
-    let answered: u64 = threads.into_iter().map(|t| t.join().expect("client panicked")).sum();
-    let elapsed = t0.elapsed().as_secs_f64();
-    let _ = daemon.shutdown();
-    answered as f64 / elapsed
-}
-
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// Applies the collapse gate: every pinned cell must hold
-/// `gate_min_ratio` × the pinned 1-worker cell.
-fn check_against_baseline(pinned: &[(usize, f64)]) {
-    let path = repo_root().join("BENCH_wire.json");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("--check: cannot read {}: {e}", path.display()));
-    let baseline: serde_json::Value =
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("--check: bad baseline JSON: {e}"));
-    let floor =
-        baseline["scaling"]["gate_min_ratio"].as_f64().expect("baseline scaling.gate_min_ratio");
-
-    let base = pinned.first().map_or(0.0, |&(_, qps)| qps);
-    assert!(base > 0.0, "1-worker cell measured zero throughput");
-    let mut ok = true;
-    for &(workers, qps) in &pinned[1..] {
-        let ratio = qps / base;
-        eprintln!(
-            "check scaling {workers} workers: {ratio:.2}x the 1-worker throughput \
-             (floor {floor:.2}x)"
-        );
-        if ratio < floor {
-            eprintln!("scaling_wire: {workers}-worker throughput collapsed below the floor");
-            ok = false;
+    let qps = closed_loop_qps(daemon.local_addr(), CLIENTS, WINDOW, secs, |c| {
+        if pin && online > workers {
+            let _ = affinity::pin_to_core(workers + (c % (online - workers)));
         }
-    }
-    if !ok {
-        std::process::exit(1);
-    }
-    eprintln!("scaling_wire: all worker counts hold the BENCH_wire.json collapse floor");
+    });
+    let _ = daemon.shutdown();
+    qps
 }
 
 fn main() {
     let quick = quick_mode();
-    let check = std::env::args().any(|a| a == "--check");
     let secs = if quick { 1.0 } else { 3.0 };
     let io_mode = if geodns_wire::uring::supported() { IoMode::Uring } else { IoMode::default() };
     let online = affinity::online_cpus().max(1);
@@ -212,9 +132,15 @@ fn main() {
         .expect("write scaling_wire.json");
     eprintln!("wrote {}", path.display());
 
-    if check {
-        let pinned: Vec<(usize, f64)> =
-            cells.iter().filter(|&&(_, pin, _)| pin).map(|&(w, _, qps)| (w, qps)).collect();
-        check_against_baseline(&pinned);
+    if gate::requested() {
+        assert!(base > 0.0, "1-worker cell measured zero throughput");
+        let min_ratio = cells
+            .iter()
+            .filter(|&&(w, pin, _)| pin && w > 1)
+            .map(|&(_, _, qps)| qps / base)
+            .fold(f64::INFINITY, f64::min);
+        let mut check = Check::load("BENCH_scaling_wire.json");
+        check.measure("scaling.min_pinned_vs_1_worker", min_ratio);
+        check.finish();
     }
 }

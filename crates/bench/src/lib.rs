@@ -9,18 +9,25 @@
 //! 4. persists the raw numbers to `target/paper/<id>.json`.
 //!
 //! Set `GEODNS_QUICK=1` (or pass `--quick`) to shrink runs for smoke
-//! testing; paper-fidelity runs are the default.
+//! testing; paper-fidelity runs are the default. The micro-benchmarks time
+//! with [`best_ns_per_op`], and the benches that take `--check` gate their
+//! measurements against their committed `BENCH_*.json` through [`gate`].
 
 mod burst;
 mod chart;
+pub mod gate;
 
 pub use burst::BurstClock;
 pub use chart::{ascii_chart, Series};
 
 use std::fs;
+use std::net::{SocketAddr, UdpSocket};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use geodns_core::{Experiment, SimConfig, SimReport};
+use geodns_wire::mmsg::{self, RecvBatch, SendBatch};
+use geodns_wire::{Message, Question};
 
 /// Whether the invocation asked for a shortened smoke run.
 #[must_use]
@@ -63,12 +70,118 @@ pub fn run_experiment(experiment: &Experiment) -> Vec<(String, SimReport)> {
     results
 }
 
+/// The repository root, two levels above this package's manifest.
+///
+/// Resolved from the `CARGO_MANIFEST_DIR` that cargo sets when it runs a
+/// bench, test or binary, so a copied checkout reads its own baselines
+/// and writes its own artifacts even when cargo reused a library compiled
+/// in the original tree; falls back to the path this crate was compiled
+/// in when run outside cargo.
+#[must_use]
+pub fn repo_root() -> PathBuf {
+    std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from)
+        .join("../..")
+}
+
 /// Where the regenerated artifacts go.
 #[must_use]
 pub fn output_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/paper");
+    let dir = repo_root().join("target/paper");
     fs::create_dir_all(&dir).expect("create target/paper");
     dir
+}
+
+/// Best-of-`repeats` cost of `op` in nanoseconds per call. Each repeat
+/// times `ops` back-to-back calls `op(0)`, …, `op(ops - 1)`; the fastest
+/// repeat is the minimum-noise estimate for a CPU-bound loop. Pass what
+/// `op` computes through [`std::hint::black_box`] so the work survives
+/// optimisation.
+pub fn best_ns_per_op(ops: u64, repeats: usize, mut op: impl FnMut(u64)) -> f64 {
+    (0..repeats)
+        .map(|_| {
+            let t0 = Instant::now();
+            for i in 0..ops {
+                op(i);
+            }
+            t0.elapsed().as_nanos() as f64 / ops as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Closed-loop load against the DNS daemon at `target` over loopback:
+/// `clients` threads each keep `window` queries for `www.example.org` in
+/// flight through the `mmsg` batched-socket arenas (window 1 is the
+/// classic one-datagram-per-syscall client) until `secs` have passed.
+/// Client thread `c` first runs `on_start(c)`, e.g. to pin itself to a
+/// core. Returns answers/sec.
+///
+/// # Panics
+///
+/// Panics if a client socket cannot be set up or an answer is shorter
+/// than a DNS header.
+pub fn closed_loop_qps(
+    target: SocketAddr,
+    clients: usize,
+    window: usize,
+    secs: f64,
+    on_start: impl Fn(usize) + Sync,
+) -> f64 {
+    let t0 = Instant::now();
+    let deadline = t0 + Duration::from_secs_f64(secs);
+    let client = |c: usize| {
+        on_start(c);
+        let socket = UdpSocket::bind("127.0.0.1:0").expect("client bind");
+        socket.connect(target).expect("connect");
+        socket.set_read_timeout(Some(Duration::from_secs(1))).expect("timeout");
+        let query = Message::query(0, Question::a("www.example.org")).to_bytes();
+        let mut tx = SendBatch::new(window, 512);
+        let mut rx = RecvBatch::new(window, 512);
+        let mut answered = 0u64;
+        let mut id = (c as u16) << 10;
+        while Instant::now() < deadline {
+            for _ in 0..window {
+                id = id.wrapping_add(1);
+                let buf = tx.buffer();
+                buf.extend_from_slice(&query);
+                buf[0..2].copy_from_slice(&id.to_be_bytes());
+                tx.commit(target);
+            }
+            mmsg::send_batch(&socket, &mut tx);
+            let mut got = 0;
+            while got < window {
+                match mmsg::recv_batch(&socket, &mut rx) {
+                    Ok(n) => {
+                        for i in 0..n {
+                            assert!(rx.datagram(i).0.len() > 12, "short response");
+                        }
+                        answered += n as u64;
+                        got += n;
+                    }
+                    // A recv timeout re-sends the burst: the loop is
+                    // closed, lost datagrams just cost time.
+                    Err(_) => break,
+                }
+            }
+        }
+        answered
+    };
+    let answered: u64 = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..clients).map(|c| s.spawn(move || client(c))).collect();
+        threads.into_iter().map(|t| t.join().expect("client panicked")).sum()
+    });
+    answered as f64 / t0.elapsed().as_secs_f64()
+}
+
+/// Prints a micro-benchmark table: ns per operation and the matching
+/// millions of operations per second.
+pub fn print_ns_per_op(title: &str, rows: &[(String, f64)]) {
+    let rows: Vec<Vec<String>> = rows
+        .iter()
+        .map(|(name, ns)| vec![name.clone(), format!("{ns:.1}"), format!("{:.2}", 1e3 / ns)])
+        .collect();
+    println!("\n{title}\n");
+    println!("{}", geodns_core::format_table(&["bench", "ns/op", "Mops/s"], &rows));
 }
 
 /// Persists the experiment's raw reports as JSON for EXPERIMENTS.md.
